@@ -1,9 +1,10 @@
 """Outage and symbol-error analysis of two-way AF relaying with relay hardware impairments.
 
 Submodules:
-    specfun     scalar special-function kernels (K1, erfc, incomplete gamma, Q)
+    specfun     special-function kernels (array K1; erfc, incomplete gamma, Q)
     model       system configuration and instantaneous SNDR math
-    analytic    exact/asymptotic outage probability, SER quadrature, inversions
+    analytic    exact/asymptotic outage probability, SER quadrature, inversions,
+                each for one point or a whole power sweep
     montecarlo  reproducible chunked Monte-Carlo estimators
     cli         command-line curve sweeps, validation runs, and inversion queries
 """
@@ -20,9 +21,11 @@ from .analytic import (
     invert_impairment_for_ser,
     outage_asymptotic,
     outage_probability,
+    outage_sweep,
     ser,
     ser_asymptotic,
     ser_floor_quadrature,
+    ser_sweep,
 )
 from .model import (
     Direction,

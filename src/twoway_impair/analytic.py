@@ -11,6 +11,12 @@ exp(-E) * (arg/D) * K1(arg) is assembled in log space through the
 exponentially scaled Bessel function, so the result stays accurate all the
 way to the saturation threshold x -> 1/c where the raw exponential
 underflows while the true probability tends to 1.
+
+Both the outage and the SER are computed for a whole transmit-power sweep at
+once (outage_sweep, ser_sweep): one numpy kernel evaluates the closed form
+for every sweep point, and the SER integral runs an adaptive G10/K21
+Gauss-Kronrod rule over all points together.  outage_probability and ser are
+one-point sweeps.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad as _quad
+import numpy as np
 
 from . import specfun
 from .model import Direction, SystemConfig, derived_constants, link_params
@@ -32,8 +38,10 @@ __all__ = [
     "QuadratureError",
     "InfeasibleTargetError",
     "outage_probability",
+    "outage_sweep",
     "outage_asymptotic",
     "ser",
+    "ser_sweep",
     "ser_asymptotic",
     "ser_floor_quadrature",
     "invert_impairment_for_op",
@@ -89,7 +97,13 @@ class OutageQuery:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for the SER quadrature."""
+    """Tolerances for the SER quadrature.
+
+    A point stops once its error estimate is at most
+    max(abs_tol, rel_tol*|I|), I being the quadrature part of its SER; a
+    bisection that would leave a point with more than max_subdivisions
+    panels (its initial panels included) raises QuadratureError.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -110,108 +124,263 @@ def _require_matched(config: SystemConfig, what: str):
         )
 
 
+def _sweep_powers(powers):
+    """The (p1, p2, p3) arrays of a power sweep, checked: equal length, finite, positive."""
+    p1, p2, p3 = (np.atleast_1d(np.asarray(p, dtype=float)) for p in powers)
+    if not (p1.ndim == 1 and p1.shape == p2.shape == p3.shape and p1.size):
+        raise ValueError("a power sweep needs three nonempty 1-D arrays of equal length")
+    for name, p in (("p1", p1), ("p2", p2), ("p3", p3)):
+        if not np.all(np.isfinite(p) & (p > 0.0)):
+            raise ValueError(f"{name} must be finite and strictly positive at every sweep point")
+    return p1, p2, p3
+
+
+def _own_powers(config: SystemConfig):
+    """A one-point sweep at the config's own powers."""
+    return np.array([config.p1]), np.array([config.p2]), np.array([config.p3])
+
+
+def _closed_form(config: SystemConfig, direction: Direction, powers):
+    """(c, coefficient rows) of the exact outage expression at each sweep point.
+
+    The five rows weight x/s and x(1+cx)/s^2 in the exponent, (x+x^2)/s^2 and
+    x^2/s^3 in the squared half Bessel argument, and cx/s in the denominator
+    factor, with s = 1 - cx.
+    """
+    p_i, p_ri, n_i, om_i, om_ri = link_params(config, direction, powers)
+    dc = derived_constants(config, direction, powers)
+    om12 = config.omega1 * config.omega2
+    ratio = p_i / p_ri
+    return dc.c, np.array([
+        dc.a_i / om_ri + dc.b_i / om_i,
+        (dc.b_i / om_ri) * ratio,
+        n_i * config.n3 / (om12 * p_ri * powers[2]),
+        dc.b_i * dc.b_i * p_i / (om12 * p_ri),
+        ratio * om_i / om_ri,
+    ])
+
+
+def _outage(x, c: float, rows: np.ndarray) -> np.ndarray:
+    """Exact outage probability at thresholds x for coefficient rows (see _closed_form).
+
+    x broadcasts against each row.  0 at x = 0, 1 from the ceiling 1/c on;
+    below it the Rayleigh average reduces to an exponential factor times
+    arg*K1(arg), evaluated in log space.
+    """
+    x = np.asarray(x, dtype=float)
+    e_lin, e_quad, n_lin, n_cub, d_lin = rows
+    ceiling = 1.0 / c if c > 0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cx = c * x
+        s = 1.0 - cx
+        ss = s * s
+        exponent = (x / s) * e_lin + (x * (1.0 + cx) / ss) * e_quad
+        num = ((x + x * x) / ss) * n_lin + (x * x / (ss * s)) * n_cub
+        dfac = 1.0 + (cx / s) * d_lin
+        arg = 2.0 * np.sqrt(num * dfac)
+        live = (x > 0.0) & (x < ceiling) & np.isfinite(arg) & np.isfinite(exponent)
+        arg = np.where(live, arg, 1.0)
+        # arg * K1(arg) <= 1, written via the scaled Bessel so the log is exact
+        log_term = np.log(arg * specfun.bessel_k1_scaled(arg) / dfac)
+        prob = np.where(live, -np.expm1(-exponent - arg + log_term), np.where(x > 0.0, 1.0, 0.0))
+    if np.any(prob < -1e-12):
+        raise ArithmeticError(f"outage probability clamp exceeded tolerance: {float(prob.min())!r}")
+    return np.maximum(prob, 0.0)
+
+
+def outage_sweep(config: SystemConfig, query: OutageQuery, powers) -> np.ndarray:
+    """Exact outage probability at every point of a transmit-power sweep, in one call.
+
+    `powers=(p1, p2, p3)` are equal-length arrays of linear powers; noises,
+    channel gains and impairments come from `config`.  Point k equals
+    outage_probability of the config with powers (p1[k], p2[k], p3[k]).
+    """
+    _require_matched(config, "the exact outage probability")
+    powers = _sweep_powers(powers)
+    c, rows = _closed_form(config, query.direction, powers)
+    return _outage(query.x, c, rows)
+
+
 def outage_probability(config: SystemConfig, query: OutageQuery) -> float:
     """Exact outage probability Pr{SNDR_i <= x} over Rayleigh fading.
 
     Equals 1 identically once x reaches the SNDR ceiling 1/c (c > 0).  Below
     the ceiling the Rayleigh average reduces to an exponential factor times
     arg*K1(arg), evaluated in log space; any [0, 1] clamp applied against
-    floating rounding is smaller than 1e-12.
+    floating rounding is smaller than 1e-12.  A one-point outage_sweep.
     """
-    _require_matched(config, "the exact outage probability")
-    x = query.x
-    if x < 0:
-        raise ValueError("outage threshold must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    dc = derived_constants(config, query.direction)
-    c = dc.c
-    if c > 0 and x >= 1.0 / c:
-        return 1.0
-
-    p_i, p_ri, n_i, om_i, om_ri = link_params(config, query.direction)
-    om12 = config.omega1 * config.omega2
-    s = 1.0 - c * x
-    ratio = p_i / p_ri
-
-    exponent = (x / s) * (dc.a_i / om_ri + dc.b_i / om_i)
-    exponent += (x * (1.0 + c * x) / (s * s)) * (dc.b_i / om_ri) * ratio
-    num = ((x + x * x) / (s * s)) * (n_i * config.n3 / (om12 * p_ri * config.p3))
-    num += (x * x / (s * s * s)) * (dc.b_i * dc.b_i * p_i / (om12 * p_ri))
-    dfac = 1.0 + (c * x / s) * (ratio * om_i / om_ri)
-
-    arg = 2.0 * math.sqrt(num * dfac)
-    if math.isinf(arg) or math.isinf(exponent):
-        return 1.0
-    # arg * K1(arg) <= 1, written via the scaled Bessel so the log is exact
-    log_term = math.log(arg * specfun.bessel_k1_scaled(arg) / dfac)
-    prob = -math.expm1(-exponent - arg + log_term)
-    if prob < 0.0:
-        if prob < -1e-12:
-            raise ArithmeticError(f"outage probability clamp exceeded tolerance: {prob!r}")
-        prob = 0.0
-    return prob
+    return float(outage_sweep(config, query, _own_powers(config))[0])
 
 
-def outage_asymptotic(omega_i: float, omega_ri: float, c: float, x: float) -> float:
-    """High-power outage floor.
+def outage_asymptotic(omega_i: float, omega_ri: float, c: float, x):
+    """High-power outage floor, elementwise in x.
 
     omega_i c x / (omega_ri + c x (omega_i - omega_ri)) below the ceiling,
     1 at or above it, and 0 under ideal hardware where the outage vanishes
     asymptotically.
     """
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0):
         raise ValueError("outage threshold must be nonnegative")
     if not (omega_i > 0 and omega_ri > 0):
         raise ValueError("average channel gains must be positive")
     if c == 0.0:
-        return 0.0
+        return np.zeros(x.shape)[()]
     if c < 0:
         raise ValueError("c must be nonnegative")
     cx = c * x
-    if cx >= 1.0:
-        return 1.0
-    return omega_i * cx / (omega_ri + cx * (omega_i - omega_ri))
+    floor = np.ones(cx.shape)
+    below = cx < 1.0
+    floor[below] = omega_i * cx[below] / (omega_ri + cx[below] * (omega_i - omega_ri))
+    return floor[()]
 
 
-def _adaptive_quad(integrand, lo: float, hi: float, spec: QuadratureSpec) -> float:
-    out = _quad(
-        integrand,
-        lo,
-        hi,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    value, abs_err = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(str(out[3]), achieved_error=abs_err)
-    return value
+# Gauss-Kronrod pair on [-1, 1] (QUADPACK qk21; Piessens et al. 1983): the 11
+# nonnegative Kronrod abscissae in decreasing order and their weights, then
+# the weights of the 10-point Gauss rule at the odd-indexed abscissae.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208643474262, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
 
 
-def _ser_from_cdf(cdf, c: float, mod: Modulation, spec: QuadratureSpec) -> float:
-    """SER = alpha*sqrt(beta)/(2 sqrt(pi)) * int_0^inf e^{-beta x} x^{-1/2} cdf(x) dx.
+def _symmetric(half) -> np.ndarray:
+    """Values at the 21 nodes from those at the 11 nonnegative ones (decreasing order)."""
+    half = np.asarray(half)
+    return np.concatenate([half[:-1], half[::-1]])
 
-    The substitution x = u^2 removes the inverse-square-root singularity; the
+
+_GK_NODES = _symmetric(_XGK) * np.repeat([-1.0, 1.0], [10, 11])
+_GAUSS_HALF = np.zeros(11)
+_GAUSS_HALF[1::2] = _WG
+# Columns: Kronrod weights, Gauss weights (zero at the Kronrod-only nodes).
+_GK_WEIGHTS = np.stack([_symmetric(_WGK), _symmetric(_GAUSS_HALF)], axis=1)
+
+
+def _gk21_panels(integrand, row, a, b):
+    """K21 value and |K21 - G10| on the panels [a, b] of the integrands `row`."""
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    values = integrand(center[:, None] + half[:, None] * _GK_NODES, row) @ _GK_WEIGHTS
+    kronrod = half * values[:, 0]
+    return kronrod, np.abs(kronrod - half * values[:, 1])
+
+
+def _gk21(integrand, n: int, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """Adaptive G10/K21 quadrature of n integrands over [edges[0], edges[-1]], all at once.
+
+    integrand(u, row) evaluates integrand row[k] at the nodes u[k, :].  Every
+    point starts from the panels between consecutive `edges`, and each round
+    evaluates every new panel of every point in one call.  A point is done
+    once the summed embedded error |K21 - G10| of its panels is at most
+    max(abs_tol, rel_tol*|I|); until then each of its panels whose error
+    exceeds its share of that tolerance, in proportion to its width, is
+    bisected.  A point that would need more than max_subdivisions panels
+    raises QuadratureError with the error estimate reached.
+    """
+    length = edges[-1] - edges[0]
+    row = np.repeat(np.arange(n), len(edges) - 1)
+    a = np.tile(edges[:-1], n)
+    b = np.tile(edges[1:], n)
+    value, error = _gk21_panels(integrand, row, a, b)
+    while True:
+        total = np.bincount(row, value, n)
+        total_error = np.bincount(row, error, n)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        split = (total_error > tol)[row] & (error * length > tol[row] * (b - a))
+        if not split.any():
+            return total
+        panels = np.bincount(row, minlength=n) + np.bincount(row[split], minlength=n)
+        if np.any(panels > spec.max_subdivisions):
+            k = int(np.argmax(panels > spec.max_subdivisions))
+            raise QuadratureError(
+                f"SER quadrature needs more than {spec.max_subdivisions} subintervals at sweep point {k}",
+                achieved_error=float(total_error[k]),
+            )
+        keep = ~split
+        mid = 0.5 * (a[split] + b[split])
+        new_row = np.concatenate([row[split], row[split]])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_value, new_error = _gk21_panels(integrand, new_row, new_a, new_b)
+        row = np.concatenate([row[keep], new_row])
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        value = np.concatenate([value[keep], new_value])
+        error = np.concatenate([error[keep], new_error])
+
+
+# Initial panels of the SER integral below the ceiling: edges at
+# ceiling*(1 - g^-k), k = 0..K-1, then the ceiling; the last of the K panels
+# spans g^-(K-1) of the range.
+_CEILING_GRADING = 4.0
+_CEILING_PANELS = 10
+
+
+def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation, spec: QuadratureSpec) -> np.ndarray:
+    """SER = alpha*sqrt(beta)/(2 sqrt(pi)) * int_0^inf e^{-beta x} x^{-1/2} cdf(x) dx, n points at once.
+
+    cdf(x, row) evaluates the CDF of points row[k] at x[k, :].  The
+    substitution x = u^2 removes the inverse-square-root singularity; the
     region beyond the ceiling, where the CDF is identically 1, integrates to
-    the exact tail (alpha/2) * erfc(sqrt(beta/c)), so no quadrature interval
-    straddles the kink at x = 1/c.
+    the exact tail (alpha/2) * erfc(sqrt(beta/c)), so no quadrature panel
+    straddles the kink at x = 1/c.  The tolerances of `spec` apply to the
+    quadrature part of the SER.
     """
     alpha, beta = mod.alpha, mod.beta
-    prefactor = alpha * math.sqrt(beta) / (2.0 * math.sqrt(math.pi))
+    scale = alpha * math.sqrt(beta) / math.sqrt(math.pi)
     u_cap = math.sqrt(max(50.0 / beta, 50.0))
+    tail = 0.0
+    edges = np.array([0.0, u_cap])
     if c > 0:
-        upper = min(math.sqrt(1.0 / c), u_cap)
         tail = 0.5 * alpha * specfun.erfc(math.sqrt(beta / c))
-    else:
-        upper = u_cap
-        tail = 0.0
+        ceiling = math.sqrt(1.0 / c)
+        if ceiling < u_cap:
+            # At high power the exact CDF climbs to 1 in a layer below the
+            # ceiling whose width shrinks like p^(-1/2); a single panel's
+            # nodes can miss it, so the first panels are graded towards it.
+            edges = np.append(ceiling * (1.0 - _CEILING_GRADING ** -np.arange(_CEILING_PANELS)), ceiling)
 
-    def integrand(u: float) -> float:
-        return 2.0 * math.exp(-beta * u * u) * cdf(u * u)
+    def integrand(u, row):
+        x = u * u
+        return scale * np.exp(-beta * x) * cdf(x, row)
 
-    return prefactor * _adaptive_quad(integrand, 0.0, upper, spec) + tail
+    return _gk21(integrand, n, edges, spec) + tail
+
+
+def ser_sweep(
+    config: SystemConfig,
+    direction: Direction,
+    mod: Modulation,
+    powers,
+    spec: QuadratureSpec | None = None,
+) -> np.ndarray:
+    """Symbol error rate at every point of a transmit-power sweep, in one quadrature.
+
+    `powers` as in outage_sweep; point k equals ser of the config with the
+    powers of point k.
+    """
+    _require_matched(config, "the SER quadrature")
+    c, rows = _closed_form(config, direction, _sweep_powers(powers))
+    return _ser_from_cdf(lambda x, row: _outage(x, c, rows[:, row, None]),
+                         rows.shape[1], c, mod, spec or QuadratureSpec())
 
 
 def ser(
@@ -220,17 +389,8 @@ def ser(
     mod: Modulation,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """Symbol error rate by numerical integration of the exact outage CDF."""
-    _require_matched(config, "the SER quadrature")
-    if spec is None:
-        spec = QuadratureSpec()
-    dc = derived_constants(config, direction)
-    return _ser_from_cdf(
-        lambda x: outage_probability(config, OutageQuery(x, direction)),
-        dc.c,
-        mod,
-        spec,
-    )
+    """Symbol error rate by numerical integration of the exact outage CDF; a one-point ser_sweep."""
+    return float(ser_sweep(config, direction, mod, _own_powers(config), spec)[0])
 
 
 def ser_asymptotic(mod: Modulation, c: float) -> float:
@@ -262,14 +422,9 @@ def ser_floor_quadrature(
     """
     if not c > 0:
         raise ValueError("SER floor is 0 under ideal hardware; requires c > 0")
-    if spec is None:
-        spec = QuadratureSpec()
-    return _ser_from_cdf(
-        lambda x: outage_asymptotic(omega_i, omega_ri, c, x),
-        c,
-        mod,
-        spec,
-    )
+    value = _ser_from_cdf(lambda x, row: outage_asymptotic(omega_i, omega_ri, c, x),
+                          1, c, mod, spec or QuadratureSpec())
+    return float(value[0])
 
 
 def invert_impairment_for_op(

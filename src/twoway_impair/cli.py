@@ -12,15 +12,20 @@ CSV bytes are stable for fixed inputs and seed: floats are printed with 17
 significant digits and Monte-Carlo chunking is pinned independently of the
 thread count (TWOWAY_IMPAIR_THREADS only caps the worker pool).
 
-Exit status: 0 success, 2 usage/config/infeasible-target error, 3 numerical
+Each curve column comes from one call of the library's sweep kernels
+(analytic.outage_sweep, analytic.ser_sweep) over the whole power grid.
+
+Exit status: 0 success, 1 `validate` with fewer than 95% of points inside
+the Monte-Carlo band, 2 usage/config/infeasible-target error, 3 numerical
 failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,6 +74,8 @@ class SweepSpec:
     power_coupling: str = DEFAULT_COUPLING
 
     def __post_init__(self):
+        if not (math.isfinite(self.p1_dbw_start) and math.isfinite(self.p1_dbw_stop)):
+            raise ValueError("sweep bounds must be finite")
         if not self.p1_dbw_start < self.p1_dbw_stop:
             raise ValueError("sweep start must be below sweep stop")
         if self.n_points < 2:
@@ -111,9 +118,12 @@ def parse_config(path: str) -> SystemConfig:
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = float(text.strip())
+            value = float(text.strip())
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: invalid number {text.strip()!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {text.strip()!r}")
+        values[key] = value
     missing = [key for key in _REQUIRED_KEYS if key not in values]
     if missing:
         raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
@@ -164,17 +174,18 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _configs_on_grid(base: SystemConfig, sweep: SweepSpec):
+def _power_grid(sweep: SweepSpec):
+    """The sweep's dBW grid and its (p1, p2, p3) arrays in linear watts."""
     m2, m3 = parse_coupling(sweep.power_coupling)
-    for dbw in sweep.grid_dbw():
-        p1 = dbw_to_watt(float(dbw))
-        yield float(dbw), SystemConfig(
-            p1=p1, p2=m2 * p1, p3=m3 * p1,
-            n1=base.n1, n2=base.n2, n3=base.n3,
-            omega1=base.omega1, omega2=base.omega2,
-            relay_impairments=base.relay_impairments,
-            assumed_kappa_r=base.assumed_kappa_r,
-        )
+    grid = [float(dbw) for dbw in sweep.grid_dbw()]
+    p1 = np.array([dbw_to_watt(dbw) for dbw in grid])
+    return grid, (p1, m2 * p1, m3 * p1)
+
+
+def _configs_on_grid(base: SystemConfig, powers) -> list[SystemConfig]:
+    """One SystemConfig per sweep point, for the per-point Monte-Carlo estimators."""
+    return [replace(base, p1=float(p1), p2=float(p2), p3=float(p3))
+            for p1, p2, p3 in zip(*powers)]
 
 
 def _write_csv(points: list[CurvePoint], with_asymptote: bool, with_mc: bool,
@@ -200,6 +211,12 @@ def _write_csv(points: list[CurvePoint], with_asymptote: bool, with_mc: bool,
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+
+
+def _curve_point(dbw: float, value, floor, est) -> CurvePoint:
+    if est is None:
+        return CurvePoint(dbw, float(value), floor)
+    return CurvePoint(dbw, float(value), floor, est.mean, est.ci_low, est.ci_high)
 
 
 def _mc_config(args) -> McConfig:
@@ -230,16 +247,16 @@ def _cmd_op_curve(args) -> int:
     direction = Direction(args.direction)
     _, _, _, om_i, om_ri = model.link_params(base, direction)
     c = base.relay_impairments.c()
-    floor = analytic.outage_asymptotic(om_i, om_ri, c, args.x)
+    floor = float(analytic.outage_asymptotic(om_i, om_ri, c, args.x))
 
-    points = []
-    for dbw, config in _configs_on_grid(base, sweep):
-        value = analytic.outage_probability(config, OutageQuery(args.x, direction))
-        mc_fields = (None, None, None)
-        if args.mc:
-            est = montecarlo.mc_outage(config, OutageQuery(args.x, direction), _mc_config(args))
-            mc_fields = (est.mean, est.ci_low, est.ci_high)
-        points.append(CurvePoint(dbw, value, floor, *mc_fields))
+    query = OutageQuery(args.x, direction)
+    grid, powers = _power_grid(sweep)
+    values = analytic.outage_sweep(base, query, powers)
+    estimates = [None] * len(grid)
+    if args.mc:
+        estimates = [montecarlo.mc_outage(config, query, _mc_config(args))
+                     for config in _configs_on_grid(base, powers)]
+    points = [_curve_point(dbw, value, floor, est) for dbw, value, est in zip(grid, values, estimates)]
     _write_csv(points, with_asymptote=True, with_mc=args.mc, out_path=args.out,
                extra_comments=[])
     return 0
@@ -265,17 +282,17 @@ def _cmd_ser_curve(args) -> int:
             comments.append("# asymptote: quadrature over the asymptotic outage CDF "
                             "(extension; unequal average channel gains)")
 
-    points = []
-    for dbw, config in _configs_on_grid(base, sweep):
-        value = analytic.ser(config, direction, mod)
-        mc_fields = (None, None, None)
-        if args.mc:
-            if args.mc_route == "signal":
-                est = montecarlo.mc_ser_signal_level(config, direction, _mc_config(args))
-            else:
-                est = montecarlo.mc_ser_expectation(config, direction, mod, _mc_config(args))
-            mc_fields = (est.mean, est.ci_low, est.ci_high)
-        points.append(CurvePoint(dbw, value, floor, *mc_fields))
+    grid, powers = _power_grid(sweep)
+    values = analytic.ser_sweep(base, direction, mod, powers)
+    estimates = [None] * len(grid)
+    if args.mc:
+        if args.mc_route == "signal":
+            estimates = [montecarlo.mc_ser_signal_level(config, direction, _mc_config(args))
+                         for config in _configs_on_grid(base, powers)]
+        else:
+            estimates = [montecarlo.mc_ser_expectation(config, direction, mod, _mc_config(args))
+                         for config in _configs_on_grid(base, powers)]
+    points = [_curve_point(dbw, value, floor, est) for dbw, value, est in zip(grid, values, estimates)]
     _write_csv(points, with_asymptote=floor is not None, with_mc=args.mc,
                out_path=args.out, extra_comments=comments)
     return 0
@@ -310,11 +327,13 @@ def _cmd_validate(args) -> int:
 
     print(f"{'p1_dbw':>8}  {'analytic':>20}  {'mc_mean':>20}  "
           f"{'ci_low':>20}  {'ci_high':>20}  flag")
+    query = OutageQuery(args.x, direction)
+    grid, powers = _power_grid(sweep)
+    values = analytic.outage_sweep(base, query, powers)
     passed = 0
     total = 0
-    for dbw, config in _configs_on_grid(base, sweep):
-        query = OutageQuery(args.x, direction)
-        value = analytic.outage_probability(config, query)
+    for dbw, value, config in zip(grid, values, _configs_on_grid(base, powers)):
+        value = float(value)
         est = montecarlo.mc_outage(config, query, mc)
         ok = est.ci_low <= value <= est.ci_high
         passed += ok

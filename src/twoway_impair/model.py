@@ -14,6 +14,7 @@ the channel gains rho1, rho2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ class ImpairmentPair:
     kappa_r: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.kappa_t) and math.isfinite(self.kappa_r)):
+            raise ValueError(f"EVM levels must be finite, got ({self.kappa_t!r}, {self.kappa_r!r})")
         if self.kappa_t < 0 or self.kappa_r < 0:
             raise ValueError("EVM levels must be nonnegative")
 
@@ -92,10 +95,16 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("p1", "p2", "p3", "n1", "n2", "n3", "omega1", "omega2"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not value > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.assumed_kappa_r is not None and self.assumed_kappa_r < 0:
-            raise ValueError("assumed_kappa_r must be nonnegative")
+        if self.assumed_kappa_r is not None:
+            if not math.isfinite(self.assumed_kappa_r):
+                raise ValueError(f"assumed_kappa_r must be finite, got {self.assumed_kappa_r!r}")
+            if self.assumed_kappa_r < 0:
+                raise ValueError("assumed_kappa_r must be nonnegative")
 
     @property
     def kappa_t(self) -> float:
@@ -138,16 +147,21 @@ class Direction:
 class DerivedConstants:
     """Per-direction constants of the gain-substituted SNDR denominator."""
 
-    a_i: float
-    b_i: float
+    a_i: float | np.ndarray
+    b_i: float | np.ndarray
     c: float
 
 
-def link_params(config: SystemConfig, direction: Direction):
-    """(p_i, p_ri, n_i, omega_i, omega_ri) as seen from the receiving terminal."""
+def link_params(config: SystemConfig, direction: Direction, powers=None):
+    """(p_i, p_ri, n_i, omega_i, omega_ri) as seen from the receiving terminal.
+
+    `powers=(p1, p2, p3)`, scalars or the arrays of a power sweep, stand in
+    for the config's own transmit powers.
+    """
+    p1, p2, _ = (config.p1, config.p2, config.p3) if powers is None else powers
     if direction.i == 1:
-        return config.p1, config.p2, config.n1, config.omega1, config.omega2
-    return config.p2, config.p1, config.n2, config.omega2, config.omega1
+        return p1, p2, config.n1, config.omega1, config.omega2
+    return p2, p1, config.n2, config.omega2, config.omega1
 
 
 def _rho_roles(direction: Direction, rho1, rho2):
@@ -157,18 +171,21 @@ def _rho_roles(direction: Direction, rho1, rho2):
     return rho2, rho1
 
 
-def derived_constants(config: SystemConfig, direction: Direction) -> DerivedConstants:
+def derived_constants(config: SystemConfig, direction: Direction, powers=None) -> DerivedConstants:
     """Constants a_i, b_i, c of the closed-form SNDR denominator.
 
     a_i = (n3/p_ri)(1 + kappa_t^2), b_i = (n_i/p3)(1 + kappa_r^2),
-    c = kappa_t^2 + kappa_r^2 + kappa_t^2 kappa_r^2.
+    c = kappa_t^2 + kappa_r^2 + kappa_t^2 kappa_r^2.  With
+    `powers=(p1, p2, p3)` (see link_params) a_i and b_i are arrays over the
+    sweep.
     """
-    p_i, p_ri, n_i, _, _ = link_params(config, direction)
+    _, p_ri, n_i, _, _ = link_params(config, direction, powers)
+    p3 = config.p3 if powers is None else powers[2]
     kt2 = config.kappa_t**2
     kr2 = config.kappa_r**2
     return DerivedConstants(
         a_i=(config.n3 / p_ri) * (1.0 + kt2),
-        b_i=(n_i / config.p3) * (1.0 + kr2),
+        b_i=(n_i / p3) * (1.0 + kr2),
         c=config.relay_impairments.c(),
     )
 

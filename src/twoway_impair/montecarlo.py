@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc as _erfc_vec
 
 from .analytic import Modulation, OutageQuery
 from .model import Direction, SystemConfig, relaying_gain, sndr
@@ -83,7 +82,7 @@ class SignalRealization:
 
     y_i is the receiving terminal's sample after subtracting the relayed echo
     of its own symbol (self-interference cancellation with known channel and
-    gain).
+    gain); gain is the relay's variable gain G for each realization.
     """
 
     h1: np.ndarray
@@ -97,6 +96,7 @@ class SignalRealization:
     nu3: np.ndarray
     y3: np.ndarray
     y_i: np.ndarray
+    gain: np.ndarray
 
 
 def available_lanes() -> int:
@@ -209,6 +209,8 @@ def mc_ser_expectation(config: SystemConfig, direction: Direction, mod: Modulati
     Central-limit interval from the sample standard error; the averaged
     values are bounded in [0, alpha].
     """
+    # Imported here, its only use, so that importing the package loads no scipy.
+    from scipy.special import erfc as _erfc_vec
 
     def worker(rng, count):
         rho1, rho2 = sample_channel_gains(rng, config.omega1, config.omega2, count)
@@ -289,7 +291,7 @@ def simulate_signal_chain(
         h1=h1, h2=h2, s1=s1, s2=s2,
         eta_3r=eta_3r, eta_3t=eta_3t,
         nu1=nu1, nu2=nu2, nu3=nu3,
-        y3=y3, y_i=y_i,
+        y3=y3, y_i=y_i, gain=gain,
     )
 
 
@@ -303,9 +305,7 @@ def mc_ser_signal_level(config: SystemConfig, direction: Direction, mc: McConfig
 
     def worker(rng, count):
         sim = simulate_signal_chain(rng, config, direction, count)
-        rho1 = np.abs(sim.h1) ** 2
-        rho2 = np.abs(sim.h2) ** 2
-        coeff = relaying_gain(config, rho1, rho2) * sim.h1 * sim.h2
+        coeff = sim.gain * sim.h1 * sim.h2
         stat = np.real(sim.y_i * np.conj(coeff))
         s_ri = sim.s1 if direction.r_i == 1 else sim.s2
         errors = int(np.count_nonzero((stat > 0) != (s_ri > 0)))

@@ -1,22 +1,29 @@
-"""Scalar special functions used by the closed-form performance expressions.
+"""Special functions used by the closed-form performance expressions.
 
 Provides the first-order modified Bessel function of the second kind K1 (plain
 and exponentially scaled), the complementary error function, the lower
 incomplete gamma function, and the Gaussian Q-function.  Everything here is
-double precision, scalar, and pure; target accuracy is 1e-12 relative (1e-10
-for the incomplete gamma), i.e. at least one order tighter than any quadrature
+double precision and pure; target accuracy is 1e-12 relative (1e-10 for the
+incomplete gamma), i.e. at least one order tighter than any quadrature
 tolerance that consumes these kernels.
 
-K1 follows the classical two-branch scheme: the ascending series (DLMF
-10.31.2) on z <= 2 and a Chebyshev fit of exp(z)*K1(z)*sqrt(z) in the variable
-4/z - 1 on z > 2.  The Chebyshev coefficients were recomputed from a
+The K1 kernels take a number or a numpy array and work elementwise, so a
+whole power sweep, or every quadrature node of one, costs one call.  They
+follow the classical two-branch scheme: the ascending series (DLMF 10.31.2),
+with a fixed number of terms, on z <= 2 and a Chebyshev fit of
+exp(z)*K1(z)*sqrt(z) in the variable 4/z - 1, summed by Clenshaw's
+recurrence, on z > 2.  The Chebyshev coefficients were recomputed from a
 high-precision reference (see tools/gen_k1_coeffs.py) rather than copied from
-the literature.
+the literature.  erfc, the Q-function and the incomplete gamma function take
+single numbers; they serve the closed-form floors and the quadrature's exact
+tail.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -54,64 +61,83 @@ _K1E_CHEB = (
     2.0919125269831136552e-19,
 )
 
+# Horner coefficients (highest power of q first) of the two series sums of
+# K1 on z <= 2: row 0 is sum q^k/(k!(k+1)!), row 1 weights each term by
+# psi(k+1) + psi(k+2).  With q <= 1 the first omitted term (k = 14) is below
+# 1e-22 of the sums.
+_K1_SERIES_TERMS = 14
+_K1_SERIES = np.array([
+    [1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(_K1_SERIES_TERMS)],
+    [(2.0 * (sum(1.0 / j for j in range(1, k + 1)) - _EULER_GAMMA) + 1.0 / (k + 1))
+     / (math.factorial(k) * math.factorial(k + 1)) for k in range(_K1_SERIES_TERMS)],
+])[:, ::-1].copy()
 
-def _cheb_eval(coeffs, t: float) -> float:
-    """Clenshaw evaluation of a Chebyshev series with halved c0 convention."""
-    b1 = 0.0
-    b2 = 0.0
-    for c in reversed(coeffs[1:]):
-        b1, b2 = 2.0 * t * b1 - b2 + c, b1
-    return t * b1 - b2 + 0.5 * coeffs[0]
 
-
-def _k1_small(z: float) -> float:
+def _k1_series(z: np.ndarray) -> np.ndarray:
     """Ascending series for K1(z), 0 < z <= 2 (DLMF 10.31.2 with n=1).
 
     K1(z) = 1/z + ln(z/2)*I1(z) - (z/4) * sum_k (psi(k+1)+psi(k+2)) q^k / (k!(k+1)!)
-    with q = z^2/4 and I1(z) = (z/2) * sum_k q^k / (k!(k+1)!).
+    with q = z^2/4 and I1(z) = (z/2) * sum_k q^k / (k!(k+1)!).  Both sums are
+    polynomials in q <= 1 with fixed coefficients, evaluated together by
+    Horner's rule.
     """
     q = 0.25 * z * z
-    term = 1.0                       # q^k / (k! (k+1)!)
-    psi = 1.0 - 2.0 * _EULER_GAMMA   # psi(1) + psi(2)
-    i1_sum = term
-    s_sum = psi * term
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + 1))
-        psi += 1.0 / k + 1.0 / (k + 1)
-        i1_sum += term
-        s_sum += psi * term
-        if term * (abs(psi) + 1.0) < 1e-18 * (abs(s_sum) + i1_sum):
-            break
-    i1 = 0.5 * z * i1_sum
-    return 1.0 / z + math.log(0.5 * z) * i1 - 0.25 * z * s_sum
+    sums = np.empty((2, z.size))
+    sums[:] = _K1_SERIES[:, :1]
+    for column in _K1_SERIES.T[1:]:
+        sums *= q
+        sums += column[:, None]
+    i1 = 0.5 * z * sums[0]
+    return 1.0 / z + np.log(0.5 * z) * i1 - 0.25 * z * sums[1]
 
 
-def bessel_k1_scaled(z: float) -> float:
-    """Exponentially scaled Bessel function exp(z) * K1(z).
+def _k1e_chebyshev(z: np.ndarray) -> np.ndarray:
+    """exp(z)*K1(z) on z > 2: Clenshaw sum of the Chebyshev fit in t = 4/z - 1."""
+    t = 4.0 / z - 1.0
+    t2 = 2.0 * t
+    b1 = np.zeros_like(t)
+    b2 = 0.0
+    for c in reversed(_K1E_CHEB[1:]):
+        b1, b2 = t2 * b1 - b2 + c, b1
+    return (t * b1 - b2 + 0.5 * _K1E_CHEB[0]) / np.sqrt(z)
+
+
+def _k1(z, scaled: bool, name: str):
+    """K1 (or exp(z)*K1 when `scaled`) of a number or array; the shape of z is kept."""
+    z = np.asarray(z, dtype=float)
+    if not np.all(z > 0.0):
+        bad = z[~(z > 0.0)].flat[0]
+        raise ValueError(f"{name} requires z > 0, got {float(bad)!r}")
+    flat = z.ravel()
+    out = np.empty(flat.shape)
+    small = flat <= 2.0
+    if small.any():
+        zs = flat[small]
+        out[small] = np.exp(zs) * _k1_series(zs) if scaled else _k1_series(zs)
+    if not small.all():
+        large = ~small
+        zl = flat[large]
+        out[large] = _k1e_chebyshev(zl) if scaled else np.exp(-zl) * _k1e_chebyshev(zl)
+    return out.reshape(z.shape)[()]
+
+
+def bessel_k1_scaled(z):
+    """Exponentially scaled Bessel function exp(z) * K1(z), elementwise.
 
     Stays representable for arbitrarily large z (value ~ sqrt(pi/(2z)));
     use this form whenever exp terms elsewhere cancel the e^{-z} decay.
+    Accepts a number or an array; raises unless every z > 0.
     """
-    if not z > 0.0:
-        raise ValueError(f"bessel_k1_scaled requires z > 0, got {z!r}")
-    if z <= 2.0:
-        return math.exp(z) * _k1_small(z)
-    return _cheb_eval(_K1E_CHEB, 4.0 / z - 1.0) / math.sqrt(z)
+    return _k1(z, True, "bessel_k1_scaled")
 
 
-def bessel_k1(z: float) -> float:
-    """Modified Bessel function of the second kind, order one.
+def bessel_k1(z):
+    """Modified Bessel function of the second kind, order one, elementwise.
 
     Returns 0 once exp(-z) underflows (z > ~746); raises for z <= 0 where
-    K1 diverges.
+    K1 diverges.  Accepts a number or an array.
     """
-    if not z > 0.0:
-        raise ValueError(f"bessel_k1 requires z > 0, got {z!r}")
-    if z <= 2.0:
-        return _k1_small(z)
-    return math.exp(-z) * (_cheb_eval(_K1E_CHEB, 4.0 / z - 1.0) / math.sqrt(z))
+    return _k1(z, False, "bessel_k1")
 
 
 def erfc(x: float) -> float:

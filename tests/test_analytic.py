@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twoway_impair import model
+from twoway_impair import analytic, model
 from twoway_impair.analytic import (
     MODULATIONS,
     InfeasibleTargetError,
@@ -19,9 +19,11 @@ from twoway_impair.analytic import (
     invert_impairment_for_ser,
     outage_asymptotic,
     outage_probability,
+    outage_sweep,
     ser,
     ser_asymptotic,
     ser_floor_quadrature,
+    ser_sweep,
 )
 from twoway_impair.model import Direction, ImpairmentPair, SystemConfig
 from twoway_impair.montecarlo import McConfig, mc_outage, mc_ser_expectation
@@ -123,6 +125,32 @@ def test_outage_matches_monte_carlo_fig2():
     assert abs(est.mean - closed) <= 3.0 * sigma
 
 
+def test_outage_sweep_is_bit_identical_to_pointwise_calls():
+    rng = np.random.default_rng(3141)
+    for trial in range(6):
+        base = random_config(rng)
+        direction = D1 if trial % 2 == 0 else D2
+        p1 = 10.0 ** rng.uniform(-1.0, 8.0, 25)
+        powers = (p1, p1 * 10.0 ** rng.uniform(-1.0, 1.0, 25), p1 * 10.0 ** rng.uniform(-1.0, 1.0, 25))
+        x = float(10 ** rng.uniform(-1.0, 1.3))
+        swept = outage_sweep(base, OutageQuery(x, direction), powers)
+        for k in range(25):
+            cfg = SystemConfig(p1=powers[0][k], p2=powers[1][k], p3=powers[2][k],
+                               n1=base.n1, n2=base.n2, n3=base.n3,
+                               omega1=base.omega1, omega2=base.omega2,
+                               relay_impairments=base.relay_impairments)
+            assert swept[k] == outage_probability(cfg, OutageQuery(x, direction))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+def test_sweeps_reject_bad_powers(bad):
+    p1 = np.array([1.0, 10.0, bad])
+    with pytest.raises(ValueError):
+        outage_sweep(fig2_config(1.0), OutageQuery(1.0, D1), (p1, p1, p1))
+    with pytest.raises(ValueError):
+        ser_sweep(fig2_config(1.0), D1, BPSK, (np.ones(3), np.ones(3), p1))
+
+
 def test_outage_rejects_mismatched_gain():
     cfg = SystemConfig(p1=100, p2=100, p3=50, n1=1, n2=1, n3=1, omega1=1, omega2=1,
                        relay_impairments=ImpairmentPair(0.1, 0.2), assumed_kappa_r=0.1)
@@ -208,6 +236,75 @@ def test_ser_floor_quadrature_reduces_to_closed_form():
     assert 0.0 < asym < 0.5
     with pytest.raises(ValueError):
         ser_floor_quadrature(BPSK, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("degree", range(33))
+def test_gauss_kronrod_pair_integrates_polynomials(degree):
+    # int_{-1}^{1} t^d dt.  K21 is exact through degree 31 and G10 through
+    # 19; past that only the odd degrees are, by symmetry.
+    exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+    kronrod, gauss = analytic._GK_NODES**degree @ analytic._GK_WEIGHTS
+    assert (abs(kronrod - exact) <= 1e-15) == (degree <= 31)
+    assert (abs(gauss - exact) <= 1e-15) == (degree <= 19 or degree % 2 == 1)
+
+
+def ser_reference(config, direction, mod=BPSK):
+    """SER by QUADPACK at 1e-12 over the scalar outage CDF, with breakpoints
+    graded towards the ceiling so that the layer where the CDF climbs to 1 at
+    high power is resolved."""
+    c = config.relay_impairments.c()
+    upper = math.sqrt(50.0 / min(mod.beta, 1.0))
+    tail = 0.0
+    points = None
+    if c > 0 and math.sqrt(1.0 / c) < upper:
+        upper = math.sqrt(1.0 / c)
+        tail = 0.5 * mod.alpha * math.erfc(math.sqrt(mod.beta / c))
+        points = [upper * (1.0 - 2.0 ** -k) for k in range(1, 45)]
+
+    def integrand(u):
+        return math.exp(-mod.beta * u * u) * outage_probability(config, OutageQuery(u * u, direction))
+
+    value, _ = quad(integrand, 0.0, upper, epsabs=1e-300, epsrel=1e-12, limit=4000, points=points)
+    return mod.alpha * math.sqrt(mod.beta / math.pi) * value + tail
+
+
+def test_ser_meets_its_tolerance_against_independent_reference():
+    rng = np.random.default_rng(1983)
+    spec = QuadratureSpec()
+    cases = []
+    for trial in range(24):
+        # the last third sits at high power with severe impairments, where
+        # the CDF climbs to 1 in a thin layer below the ceiling
+        dbw = rng.uniform(0.0, 80.0) if trial < 16 else rng.uniform(60.0, 80.0)
+        kt, kr = rng.uniform(0.0, 0.2, 2) if trial < 16 else rng.uniform(0.15, 0.2, 2)
+        p1 = 10.0 ** (dbw / 10.0)
+        cfg = SystemConfig(
+            p1=p1, p2=p1 * 10 ** rng.uniform(-0.3, 0.3), p3=p1 * 10 ** rng.uniform(-0.6, 0.0),
+            n1=10 ** rng.uniform(-0.3, 0.3), n2=10 ** rng.uniform(-0.3, 0.3),
+            n3=10 ** rng.uniform(-0.3, 0.3),
+            omega1=10 ** rng.uniform(-0.3, 0.3), omega2=10 ** rng.uniform(-0.6, 0.6),
+            relay_impairments=ImpairmentPair(float(kt), float(kr)),
+        )
+        cases.append((cfg, D1 if trial % 2 == 0 else D2))
+    # Here that layer falls between the nodes of a single panel over the
+    # whole range: a rule that does not grade its first panels towards the
+    # ceiling misses it by 3.9 times the tolerance.
+    p1 = 10.0 ** 5.6
+    cases.append((SystemConfig(p1=p1, p2=p1, p3=p1 / 2, n1=1.31, n2=0.58, n3=0.58,
+                               omega1=1.8, omega2=1.66,
+                               relay_impairments=ImpairmentPair(0.2, 0.2)), D1))
+    for trial, (cfg, direction) in enumerate(cases):
+        ref = ser_reference(cfg, direction)
+        got = ser(cfg, direction, BPSK, spec)
+        assert abs(got - ref) <= max(spec.rel_tol * ref, spec.abs_tol), (trial, got, ref)
+
+
+def test_ser_sweep_matches_pointwise_calls():
+    base = fig2_config(1.0, kappa=0.15)
+    p1 = 10.0 ** (np.linspace(0.0, 80.0, 9) / 10.0)
+    swept = ser_sweep(base, D2, BPSK, (p1, p1, p1 / 2))
+    for k, p in enumerate(p1):
+        assert abs(swept[k] / ser(fig2_config(p, kappa=0.15), D2, BPSK) - 1.0) <= 1e-12
 
 
 def test_quadrature_failure_raises_with_estimate():

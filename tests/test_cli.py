@@ -79,6 +79,15 @@ def test_parse_config_bad_number_has_line_number(tmp_path):
     assert ":4:" in str(info.value)
 
 
+@pytest.mark.parametrize("key,value,line", [("kappa3t", "nan", 10), ("p1", "inf", 2)])
+def test_non_finite_config_value_exits_2_naming_key(tmp_path, capsys, key, value, line):
+    cfg = cfg_with(tmp_path, **{key: value})
+    assert run_cli(["op-curve", "--config", cfg, "--x", "31", "--p1-dbw", "0", "40",
+                    "--points", "3", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and f":{line}:" in err and "finite" in err
+
+
 def test_parse_coupling():
     assert parse_coupling("p2=p1, p3=p1/2") == (1.0, 0.5)
     assert parse_coupling("p2=p1*2,p3=p1*0.25") == (2.0, 0.25)
@@ -298,6 +307,17 @@ def test_missing_config_exits_2(tmp_path):
     assert run_cli(["op-curve", "--config", str(tmp_path / "nope.cfg"), "--x", "31",
                     "--p1-dbw", "0", "40", "--points", "3",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, twoway_impair; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point(tmp_path):

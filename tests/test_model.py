@@ -44,8 +44,9 @@ def random_config(rng, kappa_max=0.3):
 
 
 def test_impairment_pair_validation_and_aggregate():
-    with pytest.raises(ValueError):
-        ImpairmentPair(-0.1, 0.0)
+    for bad in ((-0.1, 0.0), (math.nan, 0.1), (0.1, math.inf)):
+        with pytest.raises(ValueError):
+            ImpairmentPair(*bad)
     pair = ImpairmentPair(0.3, 0.4)
     assert abs(pair.aggregate() - 0.5) < 1e-15
 
@@ -55,9 +56,14 @@ def test_system_config_rejects_nonpositive():
         unit_config(p1=0.0)
     with pytest.raises(ValueError):
         unit_config(n3=-1.0)
-    with pytest.raises(ValueError):
-        SystemConfig(p1=1, p2=1, p3=1, n1=1, n2=1, n3=1, omega1=1, omega2=1,
-                     assumed_kappa_r=-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SystemConfig(p1=1, p2=1, p3=1, n1=1, n2=1, n3=1, omega1=1, omega2=1,
+                         assumed_kappa_r=bad)
+    for name in ("p1", "n2", "omega1"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                unit_config(**{name: bad})
 
 
 def test_direction_indexing():

@@ -191,6 +191,7 @@ def test_distortion_variance_tracks_incident_power():
     expected = cfg.kappa_r**2 * (rho1 * cfg.p1 + rho2 * cfg.p2)
     empirical = float(np.mean(np.abs(sim.eta_3r) ** 2))
     assert abs(empirical / expected - 1.0) <= 0.05
+    assert np.array_equal(sim.gain, np.full(10**5, relaying_gain(cfg, rho1, rho2)))
 
 
 def test_mc_outage_asymptotic_symmetric_half():

@@ -65,12 +65,43 @@ def test_k1_underflow_saturates_to_zero():
     assert specfun.bessel_k1_scaled(1e6) > 0.0
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, -1e-12])
+@pytest.mark.parametrize("bad", [0.0, -1.0, -1e-12, math.nan, [1.0, 0.0], [[2.5], [math.nan]]])
 def test_k1_domain_errors(bad):
     with pytest.raises(ValueError):
         specfun.bessel_k1(bad)
     with pytest.raises(ValueError):
         specfun.bessel_k1_scaled(bad)
+
+
+# Arguments on both sides of the branch point z = 2, from 1e-8 to 700, in
+# one array: the two branches are filled in by one call.
+K1_ARRAY_ARGS = np.concatenate([
+    np.logspace(-8.0, math.log10(700.0), 157),
+    np.nextafter(2.0, [0.0, 4.0]),
+    [2.0, 1.999, 2.001, 1.0, 3.0],
+])
+
+
+def test_k1_array_matches_mpmath_across_branches():
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    plain = specfun.bessel_k1(K1_ARRAY_ARGS)
+    scaled = specfun.bessel_k1_scaled(K1_ARRAY_ARGS)
+    assert plain.shape == scaled.shape == K1_ARRAY_ARGS.shape
+    for z, got_plain, got_scaled in zip(K1_ARRAY_ARGS, plain, scaled):
+        ref = mp.besselk(1, mp.mpf(float(z)))
+        assert abs(got_plain / float(ref) - 1.0) <= 1e-10
+        assert abs(got_scaled / float(mp.exp(mp.mpf(float(z))) * ref) - 1.0) <= 1e-10
+
+
+def test_k1_scalar_and_array_calls_are_bit_identical():
+    for kernel in (specfun.bessel_k1, specfun.bessel_k1_scaled):
+        batch = kernel(K1_ARRAY_ARGS)
+        assert all(kernel(float(z)) == value for z, value in zip(K1_ARRAY_ARGS, batch))
+        grid = K1_ARRAY_ARGS[:150].reshape(10, 15)
+        assert np.array_equal(kernel(grid), batch[:150].reshape(10, 15))
+    assert np.ndim(specfun.bessel_k1_scaled(1.5)) == 0
 
 
 def test_erfc_basics():
