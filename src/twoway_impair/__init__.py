@@ -5,7 +5,7 @@ Submodules:
     model       system configuration and instantaneous SNDR math
     analytic    exact/asymptotic outage probability, SER quadrature, inversions,
                 each for one point or a whole power sweep
-    montecarlo  reproducible chunked Monte-Carlo estimators
+    montecarlo  reproducible block-wise Monte-Carlo estimators
     cli         command-line curve sweeps, validation runs, and inversion queries
 """
 

@@ -5,9 +5,12 @@ complex signal chain including relay distortion noise) and estimates outage
 probabilities and symbol error rates with confidence intervals.
 
 Determinism contract: every estimate is a pure function of
-(seed, n_samples, n_chunks).  Each chunk owns a Philox counter-based stream
-keyed by (seed, chunk index), and chunk tallies are merged in chunk order, so
-results are bit-identical no matter how many threads execute the chunks.
+(seed, n_samples).  The samples are cut into 4096-sample blocks (BLOCK; the
+last one is partial); block b owns the Philox counter-based stream keyed by
+(seed, b), and block tallies are summed in block order, so results are
+bit-identical no matter how many threads execute the blocks or on which
+machine.  The full blocks of a shorter run are the first blocks of a longer
+one with the same seed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .analytic import Modulation, OutageQuery
 from .model import Direction, SystemConfig, relaying_gain, sndr
 
 __all__ = [
+    "BLOCK",
     "McConfig",
     "McEstimate",
     "SignalRealization",
@@ -39,14 +43,19 @@ __all__ = [
 
 _MAX_SEED = 2**64
 
+# Samples per Philox block.  Part of the determinism contract: changing it
+# changes every estimate.  4096 keeps a block's signal chain (about a dozen
+# complex arrays) small while amortizing the per-block generator set-up.
+BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan: sample count, stream seed, chunking, CI confidence.
+    """Sampling plan: sample count, stream seed, CI confidence.
 
-    n_chunks=None resolves to the number of available execution lanes at run
-    time; pin it explicitly whenever reproducibility across machines matters
-    (the estimate depends on the chunk partition, not on thread scheduling).
+    Every estimate is a pure function of (seed, n_samples), drawn in
+    4096-sample blocks.  n_chunks has no effect: it is accepted only so that
+    callers written for the former chunk partition still construct.
     """
 
     seed: int
@@ -59,8 +68,6 @@ class McConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if self.n_chunks is not None and not 1 <= self.n_chunks <= self.n_samples:
-            raise ValueError("n_chunks must be in [1, n_samples]")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
 
@@ -82,7 +89,8 @@ class SignalRealization:
 
     y_i is the receiving terminal's sample after subtracting the relayed echo
     of its own symbol (self-interference cancellation with known channel and
-    gain); gain is the relay's variable gain G for each realization.
+    gain), nu_i that terminal's receiver noise; gain is the relay's variable
+    gain G for each realization.
     """
 
     h1: np.ndarray
@@ -91,8 +99,7 @@ class SignalRealization:
     s2: np.ndarray
     eta_3r: np.ndarray
     eta_3t: np.ndarray
-    nu1: np.ndarray
-    nu2: np.ndarray
+    nu_i: np.ndarray
     nu3: np.ndarray
     y3: np.ndarray
     y_i: np.ndarray
@@ -100,7 +107,7 @@ class SignalRealization:
 
 
 def available_lanes() -> int:
-    """Number of parallel execution lanes (TWOWAY_IMPAIR_THREADS caps it)."""
+    """Number of parallel execution lanes: the CPU count, capped by TWOWAY_IMPAIR_THREADS."""
     env = os.environ.get("TWOWAY_IMPAIR_THREADS")
     if env is not None:
         try:
@@ -109,18 +116,18 @@ def available_lanes() -> int:
             raise ValueError("TWOWAY_IMPAIR_THREADS must be a positive integer") from None
         if lanes < 1:
             raise ValueError("TWOWAY_IMPAIR_THREADS must be a positive integer")
-        return lanes
+        return min(lanes, os.cpu_count() or 1)
     return os.cpu_count() or 1
 
 
-def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one chunk.
+def chunk_rng(seed: int, block: int) -> np.random.Generator:
+    """Independent counter-based stream for one block.
 
-    Philox is keyed directly with (seed, chunk_index), so sub-streams are
+    Philox is keyed directly with (seed, block), so sub-streams are
     independent by construction and reproducible without any jump-ahead
     bookkeeping.
     """
-    key = np.array([seed, chunk_index], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -147,25 +154,19 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
     return max(0.0, center - margin), min(1.0, center + margin)
 
 
-def _chunk_sizes(n_samples: int, n_chunks: int) -> list[int]:
-    base, rem = divmod(n_samples, n_chunks)
-    return [base + 1] * rem + [base] * (n_chunks - rem)
+def _run_blocks(mc: McConfig, worker):
+    """Evaluate worker(rng, count) per block and sum the tally tuples in block order."""
+    n_blocks = -(-mc.n_samples // BLOCK)
 
+    def one(block: int):
+        return worker(chunk_rng(mc.seed, block), min(BLOCK, mc.n_samples - block * BLOCK))
 
-def _run_chunks(mc: McConfig, worker):
-    """Evaluate worker(rng, count) per chunk and sum the tally tuples in chunk order."""
-    n_chunks = mc.n_chunks if mc.n_chunks is not None else min(available_lanes(), mc.n_samples)
-    sizes = _chunk_sizes(mc.n_samples, n_chunks)
-
-    def one(idx: int):
-        return worker(chunk_rng(mc.seed, idx), sizes[idx])
-
-    lanes = min(available_lanes(), n_chunks)
+    lanes = min(available_lanes(), n_blocks)
     if lanes > 1:
         with ThreadPoolExecutor(max_workers=lanes) as pool:
-            tallies = list(pool.map(one, range(n_chunks)))
+            tallies = list(pool.map(one, range(n_blocks)))
     else:
-        tallies = [one(idx) for idx in range(n_chunks)]
+        tallies = [one(block) for block in range(n_blocks)]
 
     totals = list(tallies[0])
     for tally in tallies[1:]:
@@ -199,7 +200,7 @@ def mc_outage(config: SystemConfig, query: OutageQuery, mc: McConfig) -> McEstim
         values = sndr(config, query.direction, rho1, rho2)
         return (int(np.count_nonzero(values <= query.x)),)
 
-    (successes,) = _run_chunks(mc, worker)
+    (successes,) = _run_blocks(mc, worker)
     return _proportion_estimate(successes, mc)
 
 
@@ -219,7 +220,7 @@ def mc_ser_expectation(config: SystemConfig, direction: Direction, mod: Modulati
         per_sample = mod.alpha * 0.5 * _erfc_vec(np.sqrt(mod.beta * values))
         return (float(per_sample.sum()), float(np.square(per_sample).sum()))
 
-    total, total_sq = _run_chunks(mc, worker)
+    total, total_sq = _run_blocks(mc, worker)
     n = mc.n_samples
     mean = total / n
     if n > 1:
@@ -276,21 +277,20 @@ def simulate_signal_chain(
     y3 = h1 * s1 + h2 * s2 + eta_3r + nu3
 
     eta_3t = np.sqrt(config.kappa_t**2 * config.p3) * _cnormal(rng, count)
-    nu1 = np.sqrt(config.n1) * _cnormal(rng, count)
-    nu2 = np.sqrt(config.n2) * _cnormal(rng, count)
+    if direction.i == 1:
+        h_i, s_i, n_i = h1, s1, config.n1
+    else:
+        h_i, s_i, n_i = h2, s2, config.n2
+    nu_i = np.sqrt(n_i) * _cnormal(rng, count)
 
     gain = relaying_gain(config, rho1, rho2)
-    if direction.i == 1:
-        h_i, s_i, nu_i = h1, s1, nu1
-    else:
-        h_i, s_i, nu_i = h2, s2, nu2
     received = h_i * (gain * y3 + eta_3t) + nu_i
     y_i = received - gain * h_i**2 * s_i
 
     return SignalRealization(
         h1=h1, h2=h2, s1=s1, s2=s2,
         eta_3r=eta_3r, eta_3t=eta_3t,
-        nu1=nu1, nu2=nu2, nu3=nu3,
+        nu_i=nu_i, nu3=nu3,
         y3=y3, y_i=y_i, gain=gain,
     )
 
@@ -311,7 +311,7 @@ def mc_ser_signal_level(config: SystemConfig, direction: Direction, mc: McConfig
         errors = int(np.count_nonzero((stat > 0) != (s_ri > 0)))
         return (errors,)
 
-    (errors,) = _run_chunks(mc, worker)
+    (errors,) = _run_blocks(mc, worker)
     return _proportion_estimate(errors, mc)
 
 
@@ -335,5 +335,5 @@ def mc_outage_asymptotic(
         values = rho_ri / ((rho1 + rho2) * c)
         return (int(np.count_nonzero(values <= x)),)
 
-    (successes,) = _run_chunks(mc, worker)
+    (successes,) = _run_blocks(mc, worker)
     return _proportion_estimate(successes, mc)

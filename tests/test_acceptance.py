@@ -75,7 +75,7 @@ def test_criterion_2_asymptotic_outage_anchor():
         # within the Monte-Carlo confirmation band
         assert abs(floor - 0.76785) <= 3.0 * sigma
         est = mc_outage_asymptotic(2.0, 1.0, D1, 0.0201, 31.0,
-                                   McConfig(seed=1002, n_samples=n, n_chunks=16))
+                                   McConfig(seed=1002, n_samples=n))
         assert abs(est.mean - floor) <= 3.0 * sigma
         value = outage_probability(sweep_config(1e8, 0.1, 0.1), OutageQuery(31.0, D1))
         assert abs(value - floor) <= 1e-3
@@ -100,7 +100,7 @@ def test_criterion_3_oracle_equivalence():
             x = float(10 ** rng.uniform(math.log10(0.5), math.log10(31.0)))
             p = outage_probability(cfg, OutageQuery(x, direction))
             est = mc_outage(cfg, OutageQuery(x, direction),
-                            McConfig(seed=3000 + trial, n_samples=10**6, n_chunks=8))
+                            McConfig(seed=3000 + trial, n_samples=10**6))
             sigma = math.sqrt(p * (1.0 - p) / est.n_samples)
             if sigma == 0.0:
                 agreeing += est.mean == p
@@ -131,9 +131,9 @@ def test_criterion_5_ser_route_agreement():
             cfg = sweep_config(p1, 0.1, 0.1, omega1=1.0, omega2=1.0)
             quad_value = ser(cfg, D1, BPSK)
             e_avg = mc_ser_expectation(cfg, D1, BPSK,
-                                       McConfig(seed=5001, n_samples=10**6, n_chunks=16))
+                                       McConfig(seed=5001, n_samples=10**6))
             e_det = mc_ser_signal_level(cfg, D1,
-                                        McConfig(seed=5002, n_samples=10**6, n_chunks=16))
+                                        McConfig(seed=5002, n_samples=10**6))
             se_avg = (e_avg.ci_high - e_avg.ci_low) / 2.0 / z95
             se_det = math.sqrt(quad_value * (1.0 - quad_value) / e_det.n_samples)
             assert abs(e_avg.mean - quad_value) <= 3.0 * se_avg, f"P1={p1} averaging route"

@@ -120,7 +120,7 @@ def test_outage_matches_conditional_integral():
 def test_outage_matches_monte_carlo_fig2():
     cfg = fig2_config(1e6)
     closed = outage_probability(cfg, OutageQuery(31.0, D1))
-    est = mc_outage(cfg, OutageQuery(31.0, D1), McConfig(seed=404, n_samples=10**6, n_chunks=8))
+    est = mc_outage(cfg, OutageQuery(31.0, D1), McConfig(seed=404, n_samples=10**6))
     sigma = math.sqrt(closed * (1.0 - closed) / 10**6)
     assert abs(est.mean - closed) <= 3.0 * sigma
 
@@ -199,7 +199,7 @@ def test_ser_heavy_impairment_approaches_guessing():
 def test_ser_matches_monte_carlo_ideal():
     cfg = fig3_config(1e6, 0.0, 0.0)
     s_quad = ser(cfg, D1, BPSK)
-    est = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=2, n_samples=10**7, n_chunks=16))
+    est = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=2, n_samples=10**7))
     stderr = (est.ci_high - est.ci_low) / 2.0 / 1.959963984540054
     assert abs(s_quad - est.mean) <= 3.0 * stderr
 

@@ -1,13 +1,16 @@
 """Sampling correctness, reproducibility, and agreement with the closed forms."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from twoway_impair import montecarlo
 from twoway_impair.analytic import MODULATIONS, OutageQuery, outage_probability, ser
 from twoway_impair.model import Direction, ImpairmentPair, SystemConfig, relaying_gain
 from twoway_impair.montecarlo import (
+    BLOCK,
     McConfig,
     chunk_rng,
     mc_outage,
@@ -22,7 +25,7 @@ from twoway_impair.montecarlo import (
 D1 = Direction(1)
 BPSK = MODULATIONS["bpsk"]
 
-# First exponential draws for seed=1, chunk 0, omega=(2, 1): pinned so any
+# First exponential draws for seed=1, block 0, omega=(2, 1): pinned so any
 # change to the stream layout or generator choice is caught loudly.
 GOLDEN_RHO1 = (0.7531194193285271, 4.753523280080154, 0.6890443262451814)
 GOLDEN_RHO2 = (0.03621581302003513, 1.1365105348426199, 0.24654832287273315)
@@ -68,14 +71,12 @@ def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(seed=0, n_samples=0)
     with pytest.raises(ValueError):
-        McConfig(seed=0, n_samples=10, n_chunks=11)
-    with pytest.raises(ValueError):
         McConfig(seed=0, confidence=1.0)
 
 
 def test_determinism_across_thread_counts(monkeypatch):
     cfg = fig_config(1e3)
-    mc = McConfig(seed=9, n_samples=50000, n_chunks=8)
+    mc = McConfig(seed=9, n_samples=50000)
     results = []
     for lanes in ("1", "4"):
         monkeypatch.setenv("TWOWAY_IMPAIR_THREADS", lanes)
@@ -86,29 +87,57 @@ def test_determinism_across_thread_counts(monkeypatch):
     assert results[0] == results[1]
 
 
-def test_chunk_partition_changes_stream_but_stays_valid():
+def test_block_scheduling_is_bit_identical(monkeypatch):
+    # 3*BLOCK + 17 samples: three full blocks and a partial one, on 1, 2 and 3 lanes
     cfg = fig_config(1e3)
-    a = mc_outage(cfg, OutageQuery(31.0, D1), McConfig(seed=9, n_samples=40000, n_chunks=4))
-    b = mc_outage(cfg, OutageQuery(31.0, D1), McConfig(seed=9, n_samples=40000, n_chunks=5))
-    assert a.mean != b.mean  # different partition, different draws
-    assert abs(a.mean - b.mean) < 0.02
+    mc = McConfig(seed=9, n_samples=3 * BLOCK + 17)
+    results = []
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "available_lanes", lambda lanes=lanes: lanes)
+        results.append((mc_outage(cfg, OutageQuery(31.0, D1), mc),
+                        mc_ser_expectation(cfg, D1, BPSK, mc),
+                        mc_ser_signal_level(cfg, D1, mc)))
+    assert results[0] == results[1] == results[2]
+
+
+def test_longer_run_extends_shorter_one():
+    # one more sample opens block 1 and leaves block 0 as it was
+    cfg = fig_config(1e3)
+    counts = [round(mc_outage(cfg, OutageQuery(31.0, D1), McConfig(seed=9, n_samples=n)).mean * n)
+              for n in (BLOCK, BLOCK + 1)]
+    assert counts[1] - counts[0] in (0, 1)
+
+
+def test_golden_two_block_tallies():
+    # pinned so any change to the block size or stream layout is caught loudly
+    n = BLOCK + 904
+    mc = McConfig(seed=9, n_samples=n)
+    assert mc_outage(fig_config(1e3), OutageQuery(31.0, D1), mc).mean * n == 4670
+    assert mc_ser_signal_level(fig_config(10.0), D1, mc).mean * n == 535
+
+
+def test_available_lanes_is_capped_by_cpu_count(monkeypatch):
+    monkeypatch.setenv("TWOWAY_IMPAIR_THREADS", "100000")
+    assert montecarlo.available_lanes() == (os.cpu_count() or 1)
+    monkeypatch.setenv("TWOWAY_IMPAIR_THREADS", "1")
+    assert montecarlo.available_lanes() == 1
 
 
 def test_mc_outage_zero_threshold():
-    est = mc_outage(fig_config(100.0), OutageQuery(0.0, D1), McConfig(seed=3, n_samples=10**5, n_chunks=4))
+    est = mc_outage(fig_config(100.0), OutageQuery(0.0, D1), McConfig(seed=3, n_samples=10**5))
     assert est.mean == 0.0
 
 
 def test_mc_outage_saturation_region():
     cfg = fig_config(1e8)  # c = 0.0201, ceiling ~ 49.75
-    est = mc_outage(cfg, OutageQuery(50.0, D1), McConfig(seed=3, n_samples=10**5, n_chunks=4))
+    est = mc_outage(cfg, OutageQuery(50.0, D1), McConfig(seed=3, n_samples=10**5))
     assert est.mean >= 0.999
 
 
 def test_mc_outage_brackets_closed_form():
     cfg = fig_config(1e4)
     closed = outage_probability(cfg, OutageQuery(31.0, D1))
-    est = mc_outage(cfg, OutageQuery(31.0, D1), McConfig(seed=21, n_samples=10**6, n_chunks=8))
+    est = mc_outage(cfg, OutageQuery(31.0, D1), McConfig(seed=21, n_samples=10**6))
     sigma = math.sqrt(closed * (1.0 - closed) / est.n_samples)
     assert abs(est.mean - closed) <= 3.0 * sigma
 
@@ -119,28 +148,28 @@ def test_mc_outage_calibration():
     truth = outage_probability(cfg, OutageQuery(31.0, D1))
     covered = 0
     for seed in range(100):
-        est = mc_outage(cfg, OutageQuery(31.0, D1), McConfig(seed=seed, n_samples=20000, n_chunks=4))
+        est = mc_outage(cfg, OutageQuery(31.0, D1), McConfig(seed=seed, n_samples=20000))
         covered += est.ci_low <= truth <= est.ci_high
     assert covered >= 90
 
 
 def test_mc_ser_expectation_guessing_limit():
     cfg = fig_config(100.0, 0.0, 0.0, omega1=1e-12, omega2=1e-12)
-    est = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=0, n_samples=10**5, n_chunks=4))
+    est = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=0, n_samples=10**5))
     assert abs(est.mean - 0.5) < 1e-6
 
 
 def test_mc_ser_expectation_matches_quadrature():
     cfg = fig_config(100.0, 0.0, 0.0, omega1=1.0, omega2=1.0)
     s_quad = ser(cfg, D1, BPSK)
-    est = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=6, n_samples=10**6, n_chunks=8))
+    est = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=6, n_samples=10**6))
     stderr = (est.ci_high - est.ci_low) / 2.0 / 1.959963984540054
     assert abs(est.mean - s_quad) <= 3.0 * stderr
 
 
 def test_mc_ser_expectation_reaches_floor():
     cfg = fig_config(1e10, omega1=1.0, omega2=1.0)
-    est = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=8, n_samples=10**6, n_chunks=8))
+    est = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=8, n_samples=10**6))
     stderr = (est.ci_high - est.ci_low) / 2.0 / 1.959963984540054
     assert abs(est.mean - 0.005025) <= 3.0 * stderr
 
@@ -148,14 +177,14 @@ def test_mc_ser_expectation_reaches_floor():
 def test_signal_level_noise_free_limit():
     cfg = SystemConfig(p1=1e4, p2=1e4, p3=5e3, n1=1e-12, n2=1e-12, n3=1e-12,
                        omega1=1.0, omega2=1.0, relay_impairments=ImpairmentPair(0.0, 0.0))
-    est = mc_ser_signal_level(cfg, D1, McConfig(seed=4, n_samples=10**5, n_chunks=4))
+    est = mc_ser_signal_level(cfg, D1, McConfig(seed=4, n_samples=10**5))
     assert est.mean <= 1e-4
 
 
 def test_signal_level_agrees_with_expectation_route():
     cfg = fig_config(100.0, omega1=1.0, omega2=1.0)
-    a = mc_ser_signal_level(cfg, D1, McConfig(seed=31, n_samples=4 * 10**5, n_chunks=8))
-    b = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=32, n_samples=4 * 10**5, n_chunks=8))
+    a = mc_ser_signal_level(cfg, D1, McConfig(seed=31, n_samples=4 * 10**5))
+    b = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=32, n_samples=4 * 10**5))
     se_a = (a.ci_high - a.ci_low) / 2.0 / 1.959963984540054
     se_b = (b.ci_high - b.ci_low) / 2.0 / 1.959963984540054
     assert abs(a.mean - b.mean) <= 3.0 * math.hypot(se_a, se_b)
@@ -177,7 +206,7 @@ def test_gain_mismatch_power_budget():
 def test_gain_mismatch_overestimate_degrades_ser():
     # paired seeds: assuming a worse receive EVM than real shrinks the relay
     # gain and strictly costs errors at moderate power
-    mc = McConfig(seed=99, n_samples=10**6, n_chunks=8)
+    mc = McConfig(seed=99, n_samples=10**6)
     matched = mc_ser_signal_level(fig_config(10.0, 0.0, 0.2, omega1=1.0, omega2=1.0), D1, mc)
     over = mc_ser_signal_level(fig_config(10.0, 0.0, 0.2, omega1=1.0, omega2=1.0, assumed=0.8), D1, mc)
     assert over.mean > matched.mean
@@ -196,20 +225,20 @@ def test_distortion_variance_tracks_incident_power():
 
 def test_mc_outage_asymptotic_symmetric_half():
     # omega1 = omega2 and c*x = 0.5: the floor is exactly 0.5
-    est = mc_outage_asymptotic(1.0, 1.0, D1, 0.05, 10.0, McConfig(seed=12, n_samples=10**6, n_chunks=8))
+    est = mc_outage_asymptotic(1.0, 1.0, D1, 0.05, 10.0, McConfig(seed=12, n_samples=10**6))
     sigma = math.sqrt(0.25 / est.n_samples)
     assert abs(est.mean - 0.5) <= 3.0 * sigma
 
 
 def test_mc_outage_asymptotic_fig2_anchor():
     floor = 0.76779003142135419876
-    est = mc_outage_asymptotic(2.0, 1.0, D1, 0.0201, 31.0, McConfig(seed=13, n_samples=10**6, n_chunks=8))
+    est = mc_outage_asymptotic(2.0, 1.0, D1, 0.0201, 31.0, McConfig(seed=13, n_samples=10**6))
     sigma = math.sqrt(floor * (1.0 - floor) / est.n_samples)
     assert abs(est.mean - floor) <= 3.0 * sigma
 
 
 def test_mc_outage_asymptotic_above_ceiling_is_certain():
-    est = mc_outage_asymptotic(2.0, 1.0, D1, 0.0816, 31.0, McConfig(seed=14, n_samples=10**5, n_chunks=4))
+    est = mc_outage_asymptotic(2.0, 1.0, D1, 0.0816, 31.0, McConfig(seed=14, n_samples=10**5))
     assert est.mean == 1.0
 
 
@@ -225,6 +254,6 @@ def test_wilson_interval_properties():
 
 
 def test_estimate_invariants():
-    est = mc_outage(fig_config(1e3), OutageQuery(31.0, D1), McConfig(seed=2, n_samples=10**4, n_chunks=4))
+    est = mc_outage(fig_config(1e3), OutageQuery(31.0, D1), McConfig(seed=2, n_samples=10**4))
     assert 0.0 <= est.ci_low <= est.mean <= est.ci_high <= 1.0
     assert est.n_samples == 10**4 and est.seed == 2
