@@ -12,7 +12,6 @@ Submodules:
 from .analytic import (
     MODULATIONS,
     InfeasibleTargetError,
-    MismatchedGainError,
     Modulation,
     OutageQuery,
     QuadratureError,

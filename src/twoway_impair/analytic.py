@@ -34,7 +34,6 @@ __all__ = [
     "MODULATIONS",
     "OutageQuery",
     "QuadratureSpec",
-    "MismatchedGainError",
     "QuadratureError",
     "InfeasibleTargetError",
     "outage_probability",
@@ -47,10 +46,6 @@ __all__ = [
     "invert_impairment_for_op",
     "invert_impairment_for_ser",
 ]
-
-
-class MismatchedGainError(ValueError):
-    """Closed forms assume the relay gain uses the true receive EVM."""
 
 
 class QuadratureError(ArithmeticError):
@@ -116,14 +111,6 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be positive")
 
 
-def _require_matched(config: SystemConfig, what: str):
-    if not config.is_matched:
-        raise MismatchedGainError(
-            f"{what} has no closed form under a mismatched gain assumption; "
-            "use the Monte-Carlo route (montecarlo.mc_outage / mc_ser_signal_level)"
-        )
-
-
 def _sweep_powers(powers):
     """The (p1, p2, p3) arrays of a power sweep, checked: equal length, finite, positive."""
     p1, p2, p3 = (np.atleast_1d(np.asarray(p, dtype=float)) for p in powers)
@@ -141,17 +128,21 @@ def _own_powers(config: SystemConfig):
 
 
 def _closed_form(config: SystemConfig, direction: Direction, powers):
-    """(c, coefficient rows) of the exact outage expression at each sweep point.
+    """(c, delta, coefficient rows) of the exact outage expression at each sweep point.
 
-    The five rows weight x/s and x(1+cx)/s^2 in the exponent, (x+x^2)/s^2 and
-    x^2/s^3 in the squared half Bessel argument, and cx/s in the denominator
-    factor, with s = 1 - cx.
+    The five rows weight x/s and x(1+cx)/s^2 in the exponent,
+    (x+delta*x^2)/s^2 and x^2/s^3 in the squared half Bessel argument, and
+    cx/s in the denominator factor, with s = 1 - cx.  delta = 1 +
+    (kappa_hat_r^2 - kappa_r^2) comes from a_i*b_i = E*(c + delta), E being
+    the n_lin row times omega1*omega2; it is exactly 1 when the relaying gain
+    uses the true receive EVM.
     """
     p_i, p_ri, n_i, om_i, om_ri = link_params(config, direction, powers)
     dc = derived_constants(config, direction, powers)
+    delta = 1.0 + (config.gain_kappa_r**2 - config.kappa_r**2)
     om12 = config.omega1 * config.omega2
     ratio = p_i / p_ri
-    return dc.c, np.array([
+    return dc.c, delta, np.array([
         dc.a_i / om_ri + dc.b_i / om_i,
         (dc.b_i / om_ri) * ratio,
         n_i * config.n3 / (om12 * p_ri * powers[2]),
@@ -160,7 +151,7 @@ def _closed_form(config: SystemConfig, direction: Direction, powers):
     ])
 
 
-def _outage(x, c: float, rows: np.ndarray) -> np.ndarray:
+def _outage(x, c: float, delta: float, rows: np.ndarray) -> np.ndarray:
     """Exact outage probability at thresholds x for coefficient rows (see _closed_form).
 
     x broadcasts against each row.  0 at x = 0, 1 from the ceiling 1/c on;
@@ -175,7 +166,7 @@ def _outage(x, c: float, rows: np.ndarray) -> np.ndarray:
         s = 1.0 - cx
         ss = s * s
         exponent = (x / s) * e_lin + (x * (1.0 + cx) / ss) * e_quad
-        num = ((x + x * x) / ss) * n_lin + (x * x / (ss * s)) * n_cub
+        num = ((x + delta * x * x) / ss) * n_lin + (x * x / (ss * s)) * n_cub
         dfac = 1.0 + (cx / s) * d_lin
         arg = 2.0 * np.sqrt(num * dfac)
         live = (x > 0.0) & (x < ceiling) & np.isfinite(arg) & np.isfinite(exponent)
@@ -195,16 +186,15 @@ def outage_sweep(config: SystemConfig, query: OutageQuery, powers) -> np.ndarray
     channel gains and impairments come from `config`.  Point k equals
     outage_probability of the config with powers (p1[k], p2[k], p3[k]).
     """
-    _require_matched(config, "the exact outage probability")
-    powers = _sweep_powers(powers)
-    c, rows = _closed_form(config, query.direction, powers)
-    return _outage(query.x, c, rows)
+    c, delta, rows = _closed_form(config, query.direction, _sweep_powers(powers))
+    return _outage(query.x, c, delta, rows)
 
 
 def outage_probability(config: SystemConfig, query: OutageQuery) -> float:
     """Exact outage probability Pr{SNDR_i <= x} over Rayleigh fading.
 
-    Equals 1 identically once x reaches the SNDR ceiling 1/c (c > 0).  Below
+    Equals 1 identically once x reaches the SNDR ceiling 1/c (c > 0, the
+    ceiling coefficient of model.derived_constants).  Below
     the ceiling the Rayleigh average reduces to an exponential factor times
     arg*K1(arg), evaluated in log space; any [0, 1] clamp applied against
     floating rounding is smaller than 1e-12.  A one-point outage_sweep.
@@ -377,9 +367,8 @@ def ser_sweep(
     `powers` as in outage_sweep; point k equals ser of the config with the
     powers of point k.
     """
-    _require_matched(config, "the SER quadrature")
-    c, rows = _closed_form(config, direction, _sweep_powers(powers))
-    return _ser_from_cdf(lambda x, row: _outage(x, c, rows[:, row, None]),
+    c, delta, rows = _closed_form(config, direction, _sweep_powers(powers))
+    return _ser_from_cdf(lambda x, row: _outage(x, c, delta, rows[:, row, None]),
                          rows.shape[1], c, mod, spec or QuadratureSpec())
 
 

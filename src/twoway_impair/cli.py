@@ -237,7 +237,7 @@ def _cmd_op_curve(args) -> int:
     sweep = SweepSpec(args.p1_dbw[0], args.p1_dbw[1], args.points, args.coupling)
     direction = Direction(args.direction)
     _, _, _, om_i, om_ri = model.link_params(base, direction)
-    c = base.relay_impairments.c()
+    c = model.derived_constants(base, direction).c
     floor = float(analytic.outage_asymptotic(om_i, om_ri, c, args.x))
 
     query = OutageQuery(args.x, direction)
@@ -261,7 +261,7 @@ def _cmd_ser_curve(args) -> int:
     if args.mc and args.mc_route == "signal" and (mod.alpha, mod.beta) != (1.0, 1.0):
         raise ValueError("--mc-route signal simulates BPSK only (alpha=beta=1)")
 
-    c = base.relay_impairments.c()
+    c = model.derived_constants(base, direction).c
     comments: list[str] = []
     floor = None
     if c > 0:

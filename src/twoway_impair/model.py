@@ -7,6 +7,10 @@ module holds the configuration types, the per-direction derived constants,
 the variable relaying gain, the per-realization SNDR (two algebraically
 equivalent evaluation routes), and the high-power limits.
 
+One SNDR form covers every relay, whatever receive EVM kappa_hat_r its gain
+normalization assumes: kappa_hat_r enters only the constants of
+derived_constants.
+
 All powers and noise variances are linear watts; dB conversion belongs to the
 CLI.  Every function is pure and accepts either scalars or numpy arrays for
 the channel gains rho1, rho2.
@@ -63,7 +67,8 @@ class ImpairmentPair:
     def c(self) -> float:
         """Distortion severity c = kappa_t^2 + kappa_r^2 + kappa_t^2 * kappa_r^2.
 
-        The single scalar entering every asymptotic result; c = 0 iff the
+        The ceiling coefficient of a relay whose gain uses its true receive
+        EVM (see derived_constants for the general one); c = 0 iff the
         hardware is ideal.
         """
         kt2 = self.kappa_t * self.kappa_t
@@ -79,7 +84,8 @@ class SystemConfig:
     n1, n2, n3 the corresponding noise variances; omega1, omega2 the average
     gains of the Rayleigh channels T1-R and T2-R.  `assumed_kappa_r` is the
     receive-EVM value the relay plugs into its gain normalization; leave it
-    None for a relay that knows its own hardware (the matched case).
+    None for a relay that knows its own hardware.  Every SNDR, outage and SER
+    function accepts either kind of relay.
     """
 
     p1: float
@@ -121,11 +127,6 @@ class SystemConfig:
             return self.relay_impairments.kappa_r
         return self.assumed_kappa_r
 
-    @property
-    def is_matched(self) -> bool:
-        """True when the gain normalization uses the true receive EVM."""
-        return self.assumed_kappa_r is None or self.assumed_kappa_r == self.relay_impairments.kappa_r
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -145,7 +146,11 @@ class Direction:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Per-direction constants of the gain-substituted SNDR denominator."""
+    """Per-direction constants of the gain-substituted SNDR denominator.
+
+    c is the ceiling coefficient: the SNDR stays below 1/c for every channel
+    draw and tends to rho_ri / ((rho1 + rho2) c) at high power.
+    """
 
     a_i: float | np.ndarray
     b_i: float | np.ndarray
@@ -174,8 +179,10 @@ def _rho_roles(direction: Direction, rho1, rho2):
 def derived_constants(config: SystemConfig, direction: Direction, powers=None) -> DerivedConstants:
     """Constants a_i, b_i, c of the closed-form SNDR denominator.
 
-    a_i = (n3/p_ri)(1 + kappa_t^2), b_i = (n_i/p3)(1 + kappa_r^2),
-    c = kappa_t^2 + kappa_r^2 + kappa_t^2 kappa_r^2.  With
+    a_i = (n3/p_ri)(1 + kappa_t^2), b_i = (n_i/p3)(1 + kappa_hat_r^2),
+    c = kappa_t^2 + kappa_r^2 + kappa_t^2 kappa_hat_r^2, where kappa_hat_r
+    is the receive EVM of the relaying gain (config.gain_kappa_r); with
+    kappa_hat_r = kappa_r, c is ImpairmentPair.c() bit for bit.  With
     `powers=(p1, p2, p3)` (see link_params) a_i and b_i are arrays over the
     sweep.
     """
@@ -183,10 +190,11 @@ def derived_constants(config: SystemConfig, direction: Direction, powers=None) -
     p3 = config.p3 if powers is None else powers[2]
     kt2 = config.kappa_t**2
     kr2 = config.kappa_r**2
+    kh2 = config.gain_kappa_r**2
     return DerivedConstants(
         a_i=(config.n3 / p_ri) * (1.0 + kt2),
-        b_i=(n_i / p3) * (1.0 + kr2),
-        c=config.relay_impairments.c(),
+        b_i=(n_i / p3) * (1.0 + kh2),
+        c=kt2 + kr2 + kt2 * kh2,
     )
 
 
@@ -206,9 +214,9 @@ def relaying_gain(config: SystemConfig, rho1, rho2):
 def sndr_from_gain(config: SystemConfig, direction: Direction, rho1, rho2):
     """SNDR at T_i evaluated through the explicit relaying gain.
 
-    This route stays valid under a mismatched gain assumption: the gain
-    carries the assumed receive EVM while the distortion variances carry the
-    true one.
+    The gain carries the assumed receive EVM while the distortion variances
+    carry the true one.  Algebraically equal to sndr; kept as the reference
+    that checks the constants of derived_constants.
     """
     _, p_ri, n_i, _, _ = link_params(config, direction)
     rho_i, _ = _rho_roles(direction, rho1, rho2)
@@ -220,8 +228,14 @@ def sndr_from_gain(config: SystemConfig, direction: Direction, rho1, rho2):
     return rho1 * rho2 * p_ri / noise
 
 
-def _sndr_matched(config: SystemConfig, direction: Direction, rho1, rho2):
-    """Gain-substituted closed form of the SNDR, valid for a matched gain only."""
+def sndr(config: SystemConfig, direction: Direction, rho1, rho2):
+    """Effective SNDR at terminal T_i for channel gains (rho1, rho2).
+
+    rho1*rho2 / (c (p_i/p_ri) rho_i^2 + c rho1 rho2 + b_i rho_ri
+    + (a_i + (p_i/p_ri) b_i) rho_i + n_i n3/(p_ri p3)), with the constants of
+    derived_constants; valid whatever receive EVM the relaying gain assumes.
+    rho values of exactly 0 are legal and yield SNDR 0.
+    """
     p_i, p_ri, n_i, _, _ = link_params(config, direction)
     rho_i, rho_ri = _rho_roles(direction, rho1, rho2)
     dc = derived_constants(config, direction)
@@ -236,24 +250,13 @@ def _sndr_matched(config: SystemConfig, direction: Direction, rho1, rho2):
     return rho1 * rho2 / denom
 
 
-def sndr(config: SystemConfig, direction: Direction, rho1, rho2):
-    """Effective SNDR at terminal T_i for channel gains (rho1, rho2).
-
-    Matched configurations use the gain-substituted closed form; mismatched
-    ones fall back to the explicit-gain route, which is the only one that is
-    correct there.  rho values of exactly 0 are legal and yield SNDR 0.
-    """
-    if config.is_matched:
-        return _sndr_matched(config, direction, rho1, rho2)
-    return sndr_from_gain(config, direction, rho1, rho2)
-
-
 def sndr_asymptotic(direction: Direction, rho1, rho2, c: float):
     """High-power limit of the SNDR: rho_ri / ((rho1 + rho2) c).
 
     Holds when p1 = p2 = tau*p3 grow without bound; the power ratio tau
-    cancels.  Only the impairment severity c and the channel-gain ratio
-    survive, so the limit stays random: performance floors follow.
+    cancels.  Only the ceiling coefficient c (of derived_constants) and the
+    channel-gain ratio survive, so the limit stays random: performance
+    floors follow.
     """
     if not c > 0:
         raise ValueError("asymptotic SNDR is unbounded for ideal hardware (c = 0)")

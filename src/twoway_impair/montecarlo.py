@@ -189,8 +189,8 @@ def _proportion_estimate(successes: int, mc: McConfig) -> McEstimate:
 def mc_outage(config: SystemConfig, query: OutageQuery, mc: McConfig) -> McEstimate:
     """Estimate Pr{SNDR_i <= x} by sampling channel gains.
 
-    Goes through model.sndr, so a mismatched gain assumption is honored
-    (explicit-gain route); ties with the threshold count as outage.
+    Goes through model.sndr, whose constants carry the relay's assumed
+    receive EVM; ties with the threshold count as outage.
     """
     if query.x < 0:
         raise ValueError("outage threshold must be nonnegative")
@@ -299,8 +299,8 @@ def mc_ser_signal_level(config: SystemConfig, direction: Direction, mc: McConfig
     """Estimate the BPSK SER by explicit symbol detection on the signal chain.
 
     Coherent maximum-likelihood threshold detection against the known
-    composite coefficient G*h1*h2; supports matched and mismatched gain
-    assumptions alike since the chain is simulated, not analyzed.
+    composite coefficient G*h1*h2, with G normalized by the relay's assumed
+    receive EVM; the chain is simulated, not analyzed.
     """
 
     def worker(rng, count):

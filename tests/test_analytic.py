@@ -10,7 +10,6 @@ from twoway_impair import analytic, model
 from twoway_impair.analytic import (
     MODULATIONS,
     InfeasibleTargetError,
-    MismatchedGainError,
     Modulation,
     OutageQuery,
     QuadratureError,
@@ -26,7 +25,7 @@ from twoway_impair.analytic import (
     ser_sweep,
 )
 from twoway_impair.model import Direction, ImpairmentPair, SystemConfig
-from twoway_impair.montecarlo import McConfig, mc_outage, mc_ser_expectation
+from twoway_impair.montecarlo import McConfig, mc_outage, mc_ser_expectation, mc_ser_signal_level
 
 D1 = Direction(1)
 D2 = Direction(2)
@@ -50,7 +49,8 @@ def fig3_config(p1, kappa_t=0.1, kappa_r=0.1):
                         relay_impairments=ImpairmentPair(kappa_t, kappa_r))
 
 
-def random_config(rng, kappa_max=0.25):
+def random_config(rng, kappa_max=0.25, mismatched=False):
+    """A random link; `mismatched` also draws the relay's assumed receive EVM."""
     kt, kr = rng.uniform(0.0, kappa_max, 2)
     return SystemConfig(
         p1=10 ** rng.uniform(0, 4), p2=10 ** rng.uniform(0, 4), p3=10 ** rng.uniform(0, 4),
@@ -58,6 +58,7 @@ def random_config(rng, kappa_max=0.25):
         n3=10 ** rng.uniform(-0.3, 0.3),
         omega1=10 ** rng.uniform(-0.6, 0.6), omega2=10 ** rng.uniform(-0.6, 0.6),
         relay_impairments=ImpairmentPair(kt, kr),
+        assumed_kappa_r=float(rng.uniform(0.0, kappa_max)) if mismatched else None,
     )
 
 
@@ -107,14 +108,16 @@ def test_outage_is_valid_cdf():
 
 
 def test_outage_matches_conditional_integral():
-    rng = np.random.default_rng(2718)
-    for trial in range(8):
-        cfg = random_config(rng)
-        direction = D1 if trial % 2 == 0 else D2
-        x = float(10 ** rng.uniform(-1.0, 1.3))
-        closed = outage_probability(cfg, OutageQuery(x, direction))
-        oracle = outage_by_conditioning(cfg, x, direction)
-        assert abs(closed - oracle) < 1e-9
+    # the second seed draws relays whose gain assumes another receive EVM
+    for seed, mismatched in ((2718, False), (2719, True)):
+        rng = np.random.default_rng(seed)
+        for trial in range(8):
+            cfg = random_config(rng, mismatched=mismatched)
+            direction = D1 if trial % 2 == 0 else D2
+            x = float(10 ** rng.uniform(-1.0, 1.3))
+            closed = outage_probability(cfg, OutageQuery(x, direction))
+            oracle = outage_by_conditioning(cfg, x, direction)
+            assert abs(closed - oracle) < 1e-9
 
 
 def test_outage_matches_monte_carlo_fig2():
@@ -151,13 +154,26 @@ def test_sweeps_reject_bad_powers(bad):
         ser_sweep(fig2_config(1.0), D1, BPSK, (np.ones(3), np.ones(3), p1))
 
 
-def test_outage_rejects_mismatched_gain():
-    cfg = SystemConfig(p1=100, p2=100, p3=50, n1=1, n2=1, n3=1, omega1=1, omega2=1,
-                       relay_impairments=ImpairmentPair(0.1, 0.2), assumed_kappa_r=0.1)
-    with pytest.raises(MismatchedGainError):
-        outage_probability(cfg, OutageQuery(1.0, D1))
-    with pytest.raises(MismatchedGainError):
-        ser(cfg, D1, BPSK)
+def test_mismatched_gain_matches_monte_carlo():
+    # relays that under- (0.1) or over-estimate (0.4) their receive EVM of 0.2:
+    # closed-form outage and SER quadrature against sampling, within 3 sigma
+    n = 10**6
+    n_signal = 4 * 10**5
+    for assumed in (0.1, 0.4):
+        cfg = SystemConfig(p1=100, p2=100, p3=50, n1=1, n2=1, n3=1, omega1=2, omega2=1,
+                           relay_impairments=ImpairmentPair(0.1, 0.2), assumed_kappa_r=assumed)
+        for direction, x in ((D1, 3.0), (D2, 10.0)):
+            closed = outage_probability(cfg, OutageQuery(x, direction))
+            est = mc_outage(cfg, OutageQuery(x, direction), McConfig(seed=61, n_samples=n))
+            assert 0.05 < closed < 0.95
+            assert abs(est.mean - closed) <= 3.0 * math.sqrt(closed * (1.0 - closed) / n)
+        s_quad = ser(cfg, D1, BPSK)
+        est = mc_ser_expectation(cfg, D1, BPSK, McConfig(seed=62, n_samples=n))
+        stderr = (est.ci_high - est.ci_low) / 2.0 / 1.959963984540054
+        assert abs(s_quad - est.mean) <= 3.0 * stderr
+        # the signal chain normalizes its gain by the assumed EVM on its own
+        est = mc_ser_signal_level(cfg, D1, McConfig(seed=63, n_samples=n_signal))
+        assert abs(est.mean - s_quad) <= 3.0 * math.sqrt(s_quad * (1.0 - s_quad) / n_signal)
 
 
 def test_outage_rejects_negative_threshold():

@@ -62,7 +62,7 @@ def read_rows(path):
 def test_parse_config_round_trip(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, FIG2_CFG))
     assert cfg.p1 == 1000.0 and cfg.omega1 == 2.0
-    assert cfg.kappa_t == 0.1 and cfg.kappa_r == 0.1 and cfg.is_matched
+    assert cfg.kappa_t == 0.1 and cfg.kappa_r == 0.1 and cfg.assumed_kappa_r is None
 
 
 def test_parse_config_unknown_key_has_line_number(tmp_path):
@@ -132,10 +132,27 @@ def test_op_curve_reaches_floor(tmp_path):
     assert abs(float(rows[-1][1]) - floor) <= 1e-3
 
 
-def test_op_curve_rejects_mismatched_config(tmp_path):
-    cfg = cfg_with(tmp_path, kappa3r_assumed=0.0)
-    assert run_cli(["op-curve", "--config", cfg, "--x", "31", "--p1-dbw", "0", "40",
-                    "--points", "3", "--out", str(tmp_path / "x.csv")]) == 2
+def test_mismatched_config_runs_every_curve_command(tmp_path, capsys):
+    # kappa3r = kappa3t = 0.1 with an assumed 0.05: the floors sit at the
+    # ceiling coefficient B = kr^2 + kt^2 (1 + khat^2), not at c = 0.0201
+    cfg = cfg_with(tmp_path, kappa3r_assumed=0.05)
+    b = 0.1**2 + 0.1**2 * (1.0 + 0.05**2)
+    sweep = ["--config", cfg, "--p1-dbw", "0", "40", "--points", "3"]
+    for mc in ([], ["--mc", "--samples", "20000"]):
+        out = tmp_path / "op.csv"
+        assert run_cli(["op-curve", *sweep, "--x", "31", *mc, "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        assert header[:3] == ["p1_dbw", "analytic", "asymptote"]
+        floor = float(analytic.outage_asymptotic(2.0, 1.0, b, 31.0))
+        assert all(abs(float(row[2]) - floor) <= 1e-15 for row in rows)
+    out = tmp_path / "ser.csv"
+    assert run_cli(["ser-curve", *sweep, "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    floor = analytic.ser_floor_quadrature(analytic.MODULATIONS["bpsk"], 2.0, 1.0, b)
+    assert all(abs(float(row[2]) / floor - 1.0) <= 1e-12 for row in rows)
+    assert run_cli(["validate", "--config", cfg, "--p1-dbw", "30", "60", "--points", "3",
+                    "--x", "31", "--samples", "20000"]) == 0
+    assert "3/3 points passed" in capsys.readouterr().out
 
 
 def test_ser_curve_equal_split_floor(tmp_path):

@@ -32,7 +32,8 @@ def unit_config(kappa_t=0.0, kappa_r=0.0, **overrides):
     return SystemConfig(relay_impairments=ImpairmentPair(kappa_t, kappa_r), **params)
 
 
-def random_config(rng, kappa_max=0.3):
+def random_config(rng, kappa_max=0.3, mismatched=False):
+    """A random link; `mismatched` also draws the relay's assumed receive EVM."""
     kt, kr = rng.uniform(0.0, kappa_max, 2)
     return SystemConfig(
         p1=10 ** rng.uniform(0, 4), p2=10 ** rng.uniform(0, 4), p3=10 ** rng.uniform(0, 4),
@@ -40,6 +41,7 @@ def random_config(rng, kappa_max=0.3):
         n3=10 ** rng.uniform(-0.3, 0.3),
         omega1=10 ** rng.uniform(-0.6, 0.6), omega2=10 ** rng.uniform(-0.6, 0.6),
         relay_impairments=ImpairmentPair(kt, kr),
+        assumed_kappa_r=float(rng.uniform(0.0, kappa_max)) if mismatched else None,
     )
 
 
@@ -97,7 +99,12 @@ def test_relaying_gain_uses_assumed_kappa():
                               relay_impairments=ImpairmentPair(0.0, 0.2),
                               assumed_kappa_r=0.0)
     assert abs(relaying_gain(mismatched, 1.0, 1.0) - math.sqrt(1.0 / 3.0)) < 1e-15
-    assert not mismatched.is_matched
+    # ceiling coefficient B = kr^2 + kt^2 (1 + khat^2)
+    assert derived_constants(mismatched, D1).c == 0.2**2
+    both = SystemConfig(p1=1, p2=1, p3=1, n1=1, n2=1, n3=1, omega1=1, omega2=1,
+                        relay_impairments=ImpairmentPair(0.1, 0.2), assumed_kappa_r=0.05)
+    for direction in (D1, D2):
+        assert abs(derived_constants(both, direction).c - 0.050025) < 1e-15
 
 
 def test_sndr_zero_when_either_channel_vanishes():
@@ -114,16 +121,18 @@ def test_sndr_ideal_unit_case_both_routes():
 
 
 def test_dual_route_agreement_randomized():
-    # closed form (gain substituted) vs explicit-gain evaluation
-    rng = np.random.default_rng(314)
-    for _ in range(50):
-        cfg = random_config(rng)
-        rho1 = rng.exponential(cfg.omega1, 2000)
-        rho2 = rng.exponential(cfg.omega2, 2000)
-        for direction in (D1, D2):
-            a = sndr(cfg, direction, rho1, rho2)
-            b = sndr_from_gain(cfg, direction, rho1, rho2)
-            assert np.max(np.abs(a / b - 1.0)) <= 1e-12
+    # closed form (gain substituted) vs explicit-gain evaluation, for relays
+    # whose gain uses the true receive EVM and for relays that assume another
+    for seed, mismatched in ((314, False), (315, True)):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            cfg = random_config(rng, mismatched=mismatched)
+            rho1 = rng.exponential(cfg.omega1, 2000)
+            rho2 = rng.exponential(cfg.omega2, 2000)
+            for direction in (D1, D2):
+                a = sndr(cfg, direction, rho1, rho2)
+                b = sndr_from_gain(cfg, direction, rho1, rho2)
+                assert np.max(np.abs(a / b - 1.0)) <= 1e-12
 
 
 def test_sndr_below_ceiling():

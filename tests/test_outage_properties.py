@@ -1,0 +1,138 @@
+"""CDF properties of the exact outage over the parameter box, mismatched relays included."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+
+from twoway_impair.analytic import OutageQuery, outage_probability
+from twoway_impair.model import (
+    Direction,
+    ImpairmentPair,
+    SystemConfig,
+    derived_constants,
+    link_params,
+    sndr_from_gain,
+)
+
+# Deterministic examples, so the suite gives the same verdict on every run.
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+ROUNDING = 2.0**-51
+
+evm = st.floats(0.0, 0.3)
+log_power = st.floats(-1.0, 6.0)
+log_noise = st.floats(-0.3, 0.3)
+log_gain = st.floats(-0.6, 0.6)
+
+
+@st.composite
+def links(draw, assumed=st.one_of(st.none(), evm)):
+    """A link anywhere in the box; the relay's assumed receive EVM is drawn too."""
+    return SystemConfig(
+        p1=10 ** draw(log_power), p2=10 ** draw(log_power), p3=10 ** draw(log_power),
+        n1=10 ** draw(log_noise), n2=10 ** draw(log_noise), n3=10 ** draw(log_noise),
+        omega1=10 ** draw(log_gain), omega2=10 ** draw(log_gain),
+        relay_impairments=ImpairmentPair(draw(evm), draw(evm)),
+        assumed_kappa_r=draw(assumed),
+    )
+
+
+directions = st.sampled_from([Direction(1), Direction(2)])
+
+
+def ceiling_coefficient(config):
+    """B = kappa_r^2 + kappa_t^2 (1 + kappa_hat_r^2), written out here."""
+    kh = config.kappa_r if config.assumed_kappa_r is None else config.assumed_kappa_r
+    return config.kappa_r**2 + config.kappa_t**2 * (1.0 + kh**2)
+
+
+def outage(config, x, direction):
+    return outage_probability(config, OutageQuery(x, direction))
+
+
+def outage_by_explicit_gain(config, x, direction):
+    """Outage as a conditional integral over the own-channel gain u, with the
+    partner-gain threshold read off model.sndr_from_gain alone.
+
+    For fixed u, u/SNDR = alpha(u) + beta(u)/v in the partner gain v, and
+    alpha is affine in u; two evaluations give each, so nothing here uses
+    the coefficients of derived_constants.
+    """
+    _, _, _, om_i, om_ri = link_params(config, direction)
+
+    def roles(u, v):
+        return (u, v) if direction.i == 1 else (v, u)
+
+    def fit(u):
+        f1, f2 = (u / sndr_from_gain(config, direction, *roles(u, v)) for v in (1.0, 2.0))
+        beta = 2.0 * (f1 - f2)
+        return f1 - beta, beta
+
+    slope = fit(2.0)[0] - fit(1.0)[0]
+    alpha0 = fit(1.0)[0] - slope
+    if x * slope >= 1.0:
+        return 1.0
+    lo = x * alpha0 / (1.0 - x * slope)
+
+    def survive(u):
+        alpha, beta = fit(u)
+        if u <= x * alpha:
+            return 0.0
+        return math.exp(-x * beta / ((u - x * alpha) * om_ri) - u / om_i) / om_i
+
+    value, _ = quad(survive, lo, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400)
+    return 1.0 - value
+
+
+@PROPERTY
+@given(links(), directions, st.floats(0.0, 1.5))
+def test_outage_is_a_cdf_that_reaches_one_at_the_ceiling(config, direction, span):
+    b = ceiling_coefficient(config)
+    top = span / b if b > 0 else 100.0 * span
+    values = [outage(config, float(x), direction) for x in np.linspace(0.0, top, 25)]
+    assert values[0] == 0.0
+    assert all(0.0 <= v <= 1.0 for v in values)
+    # Monotone up to ROUNDING: at thresholds near 0 the kernel's log-space
+    # sum has an absolute error of about 1e-16, so tiny values may be out of
+    # order by that much.
+    assert all(later >= earlier - ROUNDING for earlier, later in zip(values, values[1:]))
+    if b > 0:
+        assert derived_constants(config, direction).c == pytest.approx(b, rel=1e-15)
+        assert outage(config, 1.0 / b, direction) == 1.0
+        assert outage(config, (1.0 + span) / b, direction) == 1.0
+
+
+@PROPERTY
+@given(links(assumed=st.none()), directions, st.floats(0.0, 0.9), st.floats(-1.0, 1.0))
+def test_outage_is_continuous_as_the_assumed_evm_meets_the_true_one(config, direction, frac, side):
+    kr = config.kappa_r
+    x = frac / ceiling_coefficient(config) if ceiling_coefficient(config) > 0 else 100.0 * frac
+    matched = outage(config, x, direction)
+    # naming the true value explicitly is the same relay, bit for bit
+    assert outage(replace(config, assumed_kappa_r=kr), x, direction) == matched
+    near = replace(config, assumed_kappa_r=max(kr + side * 1e-9, 0.0))
+    assert abs(outage(near, x, direction) - matched) <= 1e-6
+
+
+@PROPERTY
+@given(links(), directions, st.floats(0.0, 100.0))
+def test_outage_is_continuous_as_the_hardware_becomes_ideal(config, direction, x):
+    scaled = replace(
+        config,
+        relay_impairments=ImpairmentPair(1e-6 * config.kappa_t, 1e-6 * config.kappa_r),
+        assumed_kappa_r=None if config.assumed_kappa_r is None else 1e-6 * config.assumed_kappa_r,
+    )
+    ideal = replace(config, relay_impairments=ImpairmentPair(0.0, 0.0), assumed_kappa_r=None)
+    assert abs(outage(scaled, x, direction) - outage(ideal, x, direction)) <= 1e-6
+
+
+@PROPERTY
+@given(links(assumed=evm), directions, st.floats(0.0, 0.98))
+def test_outage_matches_explicit_gain_integral_at_mismatched_points(config, direction, frac):
+    b = ceiling_coefficient(config)
+    x = frac / b if b > 0 else 100.0 * frac
+    assert abs(outage(config, x, direction) - outage_by_explicit_gain(config, x, direction)) < 1e-9
