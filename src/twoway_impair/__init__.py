@@ -5,7 +5,8 @@ Submodules:
     model       system configuration and instantaneous SNDR math
     analytic    exact/asymptotic outage probability, SER quadrature, inversions,
                 each for one point or a whole power sweep
-    montecarlo  reproducible block-wise Monte-Carlo estimators
+    montecarlo  reproducible block-wise Monte-Carlo estimators, each for one
+                point or a whole power sweep
     cli         command-line curve sweeps, validation runs, and inversion queries
 """
 
@@ -48,8 +49,11 @@ from .montecarlo import (
     SignalRealization,
     mc_outage,
     mc_outage_asymptotic,
+    mc_outage_sweep,
     mc_ser_expectation,
+    mc_ser_expectation_sweep,
     mc_ser_signal_level,
+    mc_ser_signal_level_sweep,
     sample_channel_gains,
     wilson_interval,
 )

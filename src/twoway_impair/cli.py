@@ -13,8 +13,12 @@ significant digits, and every Monte-Carlo column is a pure function of
 (seed, n_samples), drawn in 4096-sample blocks, whatever the machine or the
 thread count (TWOWAY_IMPAIR_THREADS only caps the worker pool).
 
-Each curve column comes from one call of the library's sweep kernels
-(analytic.outage_sweep, analytic.ser_sweep) over the whole power grid.
+Each curve column comes from one call of the library's sweep kernels over
+the whole power grid: analytic.outage_sweep and analytic.ser_sweep for the
+closed forms, montecarlo.mc_outage_sweep, mc_ser_expectation_sweep and
+mc_ser_signal_level_sweep for the Monte-Carlo columns and `validate`.  Every
+grid point uses the same seed, so the sweep draws each block once for all
+points; each row equals the one-point estimate at its power.
 
 Exit status: 0 success, 1 `validate` with fewer than 95% of points inside
 the Monte-Carlo band, 2 usage/config/infeasible-target error, 3 numerical
@@ -26,7 +30,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,12 +182,6 @@ def _power_grid(sweep: SweepSpec):
     return grid, (p1, m2 * p1, m3 * p1)
 
 
-def _configs_on_grid(base: SystemConfig, powers) -> list[SystemConfig]:
-    """One SystemConfig per sweep point, for the per-point Monte-Carlo estimators."""
-    return [replace(base, p1=float(p1), p2=float(p2), p3=float(p3))
-            for p1, p2, p3 in zip(*powers)]
-
-
 def _write_csv(points: list[CurvePoint], with_asymptote: bool, with_mc: bool,
                out_path: str, extra_comments: list[str]):
     columns = ["p1_dbw", "analytic"]
@@ -245,8 +243,7 @@ def _cmd_op_curve(args) -> int:
     values = analytic.outage_sweep(base, query, powers)
     estimates = [None] * len(grid)
     if args.mc:
-        estimates = [montecarlo.mc_outage(config, query, _mc_config(args))
-                     for config in _configs_on_grid(base, powers)]
+        estimates = montecarlo.mc_outage_sweep(base, query, powers, _mc_config(args))
     points = [_curve_point(dbw, value, floor, est) for dbw, value, est in zip(grid, values, estimates)]
     _write_csv(points, with_asymptote=True, with_mc=args.mc, out_path=args.out,
                extra_comments=[])
@@ -278,11 +275,9 @@ def _cmd_ser_curve(args) -> int:
     estimates = [None] * len(grid)
     if args.mc:
         if args.mc_route == "signal":
-            estimates = [montecarlo.mc_ser_signal_level(config, direction, _mc_config(args))
-                         for config in _configs_on_grid(base, powers)]
+            estimates = montecarlo.mc_ser_signal_level_sweep(base, direction, powers, _mc_config(args))
         else:
-            estimates = [montecarlo.mc_ser_expectation(config, direction, mod, _mc_config(args))
-                         for config in _configs_on_grid(base, powers)]
+            estimates = montecarlo.mc_ser_expectation_sweep(base, direction, mod, powers, _mc_config(args))
     points = [_curve_point(dbw, value, floor, est) for dbw, value, est in zip(grid, values, estimates)]
     _write_csv(points, with_asymptote=floor is not None, with_mc=args.mc,
                out_path=args.out, extra_comments=comments)
@@ -316,11 +311,11 @@ def _cmd_validate(args) -> int:
     query = OutageQuery(args.x, direction)
     grid, powers = _power_grid(sweep)
     values = analytic.outage_sweep(base, query, powers)
+    estimates = montecarlo.mc_outage_sweep(base, query, powers, mc)
     passed = 0
     total = 0
-    for dbw, value, config in zip(grid, values, _configs_on_grid(base, powers)):
+    for dbw, value, est in zip(grid, values, estimates):
         value = float(value)
-        est = montecarlo.mc_outage(config, query, mc)
         ok = est.ci_low <= value <= est.ci_high
         passed += ok
         total += 1

@@ -11,6 +11,13 @@ last one is partial); block b owns the Philox counter-based stream keyed by
 bit-identical no matter how many threads execute the blocks or on which
 machine.  The full blocks of a shorter run are the first blocks of a longer
 one with the same seed.
+
+The estimators work on whole transmit-power sweeps (mc_outage_sweep,
+mc_ser_expectation_sweep, mc_ser_signal_level_sweep), as the analytic layer
+does.  No draw depends on the powers, so each block is drawn once and every
+sweep point is tallied on it (common random numbers): point k of a sweep
+equals the one-point estimate at its powers, bit for bit.  mc_outage,
+mc_ser_expectation and mc_ser_signal_level are one-point sweeps.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import Modulation, OutageQuery
+from .analytic import Modulation, OutageQuery, _own_powers, _sweep_powers
 from .model import Direction, SystemConfig, relaying_gain, sndr
 
 __all__ = [
@@ -36,8 +43,11 @@ __all__ = [
     "simulate_signal_chain",
     "wilson_interval",
     "mc_outage",
+    "mc_outage_sweep",
     "mc_ser_expectation",
+    "mc_ser_expectation_sweep",
     "mc_ser_signal_level",
+    "mc_ser_signal_level_sweep",
     "mc_outage_asymptotic",
 ]
 
@@ -47,6 +57,11 @@ _MAX_SEED = 2**64
 # changes every estimate.  4096 keeps a block's signal chain (about a dozen
 # complex arrays) small while amortizing the per-block generator set-up.
 BLOCK = 4096
+
+# Sweep points whose SNDR rows are evaluated together on one block's draws.
+# Not part of the contract (a point's tally is the same in any group); it
+# bounds a block's working set at a few arrays of POINT_GROUP*BLOCK values.
+POINT_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -142,7 +157,10 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
     """Wilson score interval for a binomial proportion.
 
     Chosen over the Wald interval because outage probabilities near 0 and 1
-    are routine here and Wald is miscalibrated at the edges.
+    are routine here and Wald is miscalibrated at the edges.  The bounds are
+    exactly 0 at no successes and exactly 1 at all successes, as they are
+    mathematically (Brown, Cai & DasGupta, Stat. Sci. 2001); the rounded
+    formula misses them by an ulp or so.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -151,11 +169,13 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     margin = (z / denom) * np.sqrt(p_hat * (1.0 - p_hat) / trials + z * z / (4.0 * trials * trials))
-    return max(0.0, center - margin), min(1.0, center + margin)
+    low = 0.0 if successes == 0 else max(0.0, center - margin)
+    high = 1.0 if successes == trials else min(1.0, center + margin)
+    return low, high
 
 
 def _run_blocks(mc: McConfig, worker):
-    """Evaluate worker(rng, count) per block and sum the tally tuples in block order."""
+    """Evaluate worker(rng, count) per block and sum its tally arrays in block order."""
     n_blocks = -(-mc.n_samples // BLOCK)
 
     def one(block: int):
@@ -168,11 +188,17 @@ def _run_blocks(mc: McConfig, worker):
     else:
         tallies = [one(block) for block in range(n_blocks)]
 
-    totals = list(tallies[0])
+    totals = tallies[0]
     for tally in tallies[1:]:
-        for pos, value in enumerate(tally):
-            totals[pos] += value
+        totals = totals + tally
     return totals
+
+
+def _point_groups(powers) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The checked powers of a sweep as (p1, p2, p3) columns, POINT_GROUP points at a time."""
+    p1, p2, p3 = (p[:, None] for p in _sweep_powers(powers))
+    return [(p1[k:k + POINT_GROUP], p2[k:k + POINT_GROUP], p3[k:k + POINT_GROUP])
+            for k in range(0, len(p1), POINT_GROUP)]
 
 
 def _proportion_estimate(successes: int, mc: McConfig) -> McEstimate:
@@ -186,41 +212,36 @@ def _proportion_estimate(successes: int, mc: McConfig) -> McEstimate:
     )
 
 
-def mc_outage(config: SystemConfig, query: OutageQuery, mc: McConfig) -> McEstimate:
-    """Estimate Pr{SNDR_i <= x} by sampling channel gains.
+def mc_outage_sweep(config: SystemConfig, query: OutageQuery, powers, mc: McConfig) -> list[McEstimate]:
+    """Estimate Pr{SNDR_i <= x} at every point of a transmit-power sweep.
 
-    Goes through model.sndr, whose constants carry the relay's assumed
-    receive EVM; ties with the threshold count as outage.
+    `powers=(p1, p2, p3)` as in analytic.outage_sweep.  Each block's channel
+    gains are drawn once and tallied at every point, so point k equals
+    mc_outage of the config with the powers of point k, bit for bit.  Goes
+    through model.sndr, whose constants carry the relay's assumed receive
+    EVM; ties with the threshold count as outage.
     """
     if query.x < 0:
         raise ValueError("outage threshold must be nonnegative")
+    groups = _point_groups(powers)
 
     def worker(rng, count):
         rho1, rho2 = sample_channel_gains(rng, config.omega1, config.omega2, count)
-        values = sndr(config, query.direction, rho1, rho2)
-        return (int(np.count_nonzero(values <= query.x)),)
+        return np.concatenate([
+            np.count_nonzero(sndr(config, query.direction, rho1, rho2, group) <= query.x, axis=1)
+            for group in groups
+        ])
 
-    (successes,) = _run_blocks(mc, worker)
-    return _proportion_estimate(successes, mc)
+    return [_proportion_estimate(int(successes), mc) for successes in _run_blocks(mc, worker)]
 
 
-def mc_ser_expectation(config: SystemConfig, direction: Direction, mod: Modulation, mc: McConfig) -> McEstimate:
-    """Estimate the SER as the fading average of alpha*Q(sqrt(2*beta*SNDR)).
+def mc_outage(config: SystemConfig, query: OutageQuery, mc: McConfig) -> McEstimate:
+    """Estimate Pr{SNDR_i <= x} by sampling channel gains; a one-point mc_outage_sweep."""
+    return mc_outage_sweep(config, query, _own_powers(config), mc)[0]
 
-    Central-limit interval from the sample standard error; the averaged
-    values are bounded in [0, alpha].
-    """
-    # Imported here, its only use, so that importing the package loads no scipy.
-    from scipy.special import erfc as _erfc_vec
 
-    def worker(rng, count):
-        rho1, rho2 = sample_channel_gains(rng, config.omega1, config.omega2, count)
-        values = sndr(config, direction, rho1, rho2)
-        # Q(sqrt(2*beta*s)) = erfc(sqrt(beta*s))/2
-        per_sample = mod.alpha * 0.5 * _erfc_vec(np.sqrt(mod.beta * values))
-        return (float(per_sample.sum()), float(np.square(per_sample).sum()))
-
-    total, total_sq = _run_blocks(mc, worker)
+def _mean_estimate(total: float, total_sq: float, bound: float, mc: McConfig) -> McEstimate:
+    """Sample mean of values in [0, bound] with its central-limit interval."""
     n = mc.n_samples
     mean = total / n
     if n > 1:
@@ -228,14 +249,47 @@ def mc_ser_expectation(config: SystemConfig, direction: Direction, mod: Modulati
         z = NormalDist().inv_cdf(0.5 + 0.5 * mc.confidence)
         margin = z * np.sqrt(variance / n)
     else:
-        margin = mod.alpha
+        margin = bound
     return McEstimate(
         mean=mean,
         ci_low=max(0.0, mean - margin),
-        ci_high=min(mod.alpha, mean + margin),
+        ci_high=min(bound, mean + margin),
         n_samples=n,
         seed=mc.seed,
     )
+
+
+def mc_ser_expectation_sweep(
+    config: SystemConfig, direction: Direction, mod: Modulation, powers, mc: McConfig
+) -> list[McEstimate]:
+    """Estimate the SER as the fading average of alpha*Q(sqrt(2*beta*SNDR)) over a power sweep.
+
+    `powers` as in mc_outage_sweep, with the same shared draws.
+    Central-limit interval from the sample standard error; the averaged
+    values are bounded in [0, alpha].
+    """
+    # Imported here, its only use, so that importing the package loads no scipy.
+    from scipy.special import erfc as _erfc_vec
+
+    groups = _point_groups(powers)
+
+    def sums(rho1, rho2, group):
+        values = sndr(config, direction, rho1, rho2, group)
+        # Q(sqrt(2*beta*s)) = erfc(sqrt(beta*s))/2
+        per_sample = mod.alpha * 0.5 * _erfc_vec(np.sqrt(mod.beta * values))
+        return np.stack([per_sample.sum(axis=1), np.square(per_sample).sum(axis=1)], axis=1)
+
+    def worker(rng, count):
+        rho1, rho2 = sample_channel_gains(rng, config.omega1, config.omega2, count)
+        return np.concatenate([sums(rho1, rho2, group) for group in groups])
+
+    return [_mean_estimate(float(total), float(total_sq), mod.alpha, mc)
+            for total, total_sq in _run_blocks(mc, worker)]
+
+
+def mc_ser_expectation(config: SystemConfig, direction: Direction, mod: Modulation, mc: McConfig) -> McEstimate:
+    """Estimate the SER as the fading average of alpha*Q(sqrt(2*beta*SNDR)); a one-point sweep."""
+    return mc_ser_expectation_sweep(config, direction, mod, _own_powers(config), mc)[0]
 
 
 def _cnormal(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -257,7 +311,8 @@ def simulate_signal_chain(
     power.  Second slot: the relay scales by the variable gain, adds
     transmit-side distortion, and broadcasts; the receiving terminal cancels
     the echo of its own symbol exactly.  `fixed_channels=(h1, h2)` freezes
-    the channels (used to check the conditional distortion variance).
+    the channels (used to check the conditional distortion variance).  The
+    reference for mc_ser_signal_level_sweep, which draws the same numbers.
     """
     if fixed_channels is None:
         h1 = np.sqrt(config.omega1) * _cnormal(rng, count)
@@ -295,24 +350,60 @@ def simulate_signal_chain(
     )
 
 
-def mc_ser_signal_level(config: SystemConfig, direction: Direction, mc: McConfig) -> McEstimate:
-    """Estimate the BPSK SER by explicit symbol detection on the signal chain.
+def mc_ser_signal_level_sweep(config: SystemConfig, direction: Direction, powers, mc: McConfig) -> list[McEstimate]:
+    """Estimate the BPSK SER by explicit symbol detection on the signal chain, over a power sweep.
 
     Coherent maximum-likelihood threshold detection against the known
     composite coefficient G*h1*h2, with G normalized by the relay's assumed
-    receive EVM; the chain is simulated, not analyzed.
+    receive EVM; the chain is simulated, not analyzed.  Each block draws the
+    unit variables of simulate_signal_chain once, in its order, and scales
+    them per point in its arithmetic order, so point k equals
+    mc_ser_signal_level of the config with the powers of point k, bit for
+    bit.  `powers` as in mc_outage_sweep.
     """
+    points = list(zip(*_sweep_powers(powers)))
+    kr2 = config.kappa_r**2
+    kt2 = config.kappa_t**2
+    n_i = config.n1 if direction.i == 1 else config.n2
 
     def worker(rng, count):
-        sim = simulate_signal_chain(rng, config, direction, count)
-        coeff = sim.gain * sim.h1 * sim.h2
-        stat = np.real(sim.y_i * np.conj(coeff))
-        s_ri = sim.s1 if direction.r_i == 1 else sim.s2
-        errors = int(np.count_nonzero((stat > 0) != (s_ri > 0)))
-        return (errors,)
+        # power-free: the unit draws in simulate_signal_chain's order, built once
+        h1 = np.sqrt(config.omega1) * _cnormal(rng, count)
+        h2 = np.sqrt(config.omega2) * _cnormal(rng, count)
+        rho1 = np.abs(h1) ** 2
+        rho2 = np.abs(h2) ** 2
+        sign1 = 2.0 * rng.integers(0, 2, count) - 1.0
+        sign2 = 2.0 * rng.integers(0, 2, count) - 1.0
+        nu3 = np.sqrt(config.n3) * _cnormal(rng, count)
+        unit_3r = _cnormal(rng, count)
+        unit_3t = _cnormal(rng, count)
+        nu_i = np.sqrt(n_i) * _cnormal(rng, count)
+        h_i = h1 if direction.i == 1 else h2
+        h_i2 = h_i**2
+        sent = (sign1 if direction.r_i == 1 else sign2) > 0
 
-    (errors,) = _run_blocks(mc, worker)
-    return _proportion_estimate(errors, mc)
+        # one point at a time: numpy's complex loops ran 2-3x slower per point
+        # on rows broadcast to (points, count) than on 1-D arrays
+        def errors(p1, p2, p3):
+            # simulate_signal_chain's arithmetic, in its order
+            s1 = np.sqrt(p1) * sign1
+            s2 = np.sqrt(p2) * sign2
+            eta_3r = np.sqrt(kr2 * (rho1 * p1 + rho2 * p2)) * unit_3r
+            y3 = h1 * s1 + h2 * s2 + eta_3r + nu3
+            eta_3t = np.sqrt(kt2 * p3) * unit_3t
+            gain = relaying_gain(config, rho1, rho2, (p1, p2, p3))
+            y_i = h_i * (gain * y3 + eta_3t) + nu_i - gain * h_i2 * (s1 if direction.i == 1 else s2)
+            stat = np.real(y_i * np.conj(gain * h1 * h2))
+            return np.count_nonzero((stat > 0) != sent)
+
+        return np.array([errors(*point) for point in points])
+
+    return [_proportion_estimate(int(errors), mc) for errors in _run_blocks(mc, worker)]
+
+
+def mc_ser_signal_level(config: SystemConfig, direction: Direction, mc: McConfig) -> McEstimate:
+    """Estimate the BPSK SER by explicit symbol detection; a one-point mc_ser_signal_level_sweep."""
+    return mc_ser_signal_level_sweep(config, direction, _own_powers(config), mc)[0]
 
 
 def mc_outage_asymptotic(
@@ -333,7 +424,6 @@ def mc_outage_asymptotic(
         rho1, rho2 = sample_channel_gains(rng, omega1, omega2, count)
         rho_ri = rho2 if direction.i == 1 else rho1
         values = rho_ri / ((rho1 + rho2) * c)
-        return (int(np.count_nonzero(values <= x)),)
+        return np.count_nonzero(values <= x)
 
-    (successes,) = _run_blocks(mc, worker)
-    return _proportion_estimate(successes, mc)
+    return _proportion_estimate(int(_run_blocks(mc, worker)), mc)

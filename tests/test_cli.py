@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from twoway_impair import analytic
+from twoway_impair import analytic, montecarlo
 from twoway_impair.cli import main, parse_config, parse_coupling
 
 FIG2_CFG = """\
@@ -262,6 +262,38 @@ def test_validate_low_sample_runs_are_permissive(tmp_path, capsys):
     assert run_cli(["validate", "--config", cfg, "--x", "31", "--p1-dbw", "10", "40",
                     "--points", "4", "--samples", "100", "--seed", "3"]) == 0
     assert "4/4 points passed" in capsys.readouterr().out
+
+
+def test_validate_passes_on_a_saturated_sweep(tmp_path, capsys):
+    # at 0 dBW every sample is in outage and so is the closed form: the
+    # Wilson band must reach exactly 1
+    cfg = cfg_with(tmp_path)
+    assert run_cli(["validate", "--config", cfg, "--x", "31", "--p1-dbw", "0", "40",
+                    "--points", "3", "--samples", "20000"]) == 0
+    out = capsys.readouterr().out
+    first = out.splitlines()[1].split()
+    assert first[1:3] == ["1.00000000000000000", "1.00000000000000000"]
+    assert first[4:] == ["1.00000000000000000", "PASS"]
+    assert "3/3 points passed" in out
+
+
+@pytest.mark.parametrize("argv, sweep", [
+    (["op-curve", "--x", "31", "--mc"], "mc_outage_sweep"),
+    (["ser-curve", "--mc"], "mc_ser_expectation_sweep"),
+    (["ser-curve", "--mc", "--mc-route", "signal"], "mc_ser_signal_level_sweep"),
+    (["validate", "--x", "31"], "mc_outage_sweep"),
+])
+def test_mc_commands_make_one_sweep_call(tmp_path, capsys, monkeypatch, argv, sweep):
+    # the whole power grid goes to one sweep call; the one-point estimators are not used
+    calls = []
+    real = getattr(montecarlo, sweep)
+    monkeypatch.setattr(montecarlo, sweep, lambda *args: calls.append(args) or real(*args))
+    for one_point in ("mc_outage", "mc_ser_expectation", "mc_ser_signal_level"):
+        monkeypatch.setattr(montecarlo, one_point, None)
+    assert run_cli([*argv, "--config", cfg_with(tmp_path), "--p1-dbw", "0", "40",
+                    "--points", "5", "--samples", "1000"]) == 0
+    assert len(calls) == 1
+    assert [len(p) for p in calls[0][-2]] == [5, 5, 5]
 
 
 def test_csv_bytes_stable_across_runs_and_threads(tmp_path, monkeypatch):

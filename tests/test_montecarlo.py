@@ -2,21 +2,27 @@
 
 import math
 import os
+from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from twoway_impair import montecarlo
-from twoway_impair.analytic import MODULATIONS, OutageQuery, outage_probability, ser
-from twoway_impair.model import Direction, ImpairmentPair, SystemConfig, relaying_gain
+from twoway_impair.analytic import MODULATIONS, Modulation, OutageQuery, outage_probability, ser
+from twoway_impair.model import Direction, ImpairmentPair, SystemConfig, relaying_gain, sndr
 from twoway_impair.montecarlo import (
     BLOCK,
     McConfig,
     chunk_rng,
     mc_outage,
     mc_outage_asymptotic,
+    mc_outage_sweep,
     mc_ser_expectation,
+    mc_ser_expectation_sweep,
     mc_ser_signal_level,
+    mc_ser_signal_level_sweep,
     sample_channel_gains,
     simulate_signal_chain,
     wilson_interval,
@@ -114,6 +120,103 @@ def test_golden_two_block_tallies():
     mc = McConfig(seed=9, n_samples=n)
     assert mc_outage(fig_config(1e3), OutageQuery(31.0, D1), mc).mean * n == 4670
     assert mc_ser_signal_level(fig_config(10.0), D1, mc).mean * n == 535
+
+
+SWEEP_POWERS = {
+    1: (np.array([50.0]), np.array([25.0]), np.array([50.0 / 3])),
+    3: (np.array([3.0, 300.0, 3e4]), np.array([1.5, 150.0, 1.5e4]), np.array([1.0, 100.0, 1e4])),
+}
+SWEEP_ROUTES = ("outage", "expectation", "signal")
+
+
+def _point_config(base, powers, k):
+    return replace(base, p1=float(powers[0][k]), p2=float(powers[1][k]), p3=float(powers[2][k]))
+
+
+def _reference_tally(route, config, direction, mc, x, mod):
+    """Block-by-block tally at one config, from chunk_rng and the per-point model."""
+    tally = [0, 0.0, 0.0]
+    for block in range(-(-mc.n_samples // BLOCK)):
+        rng = chunk_rng(mc.seed, block)
+        count = min(BLOCK, mc.n_samples - block * BLOCK)
+        if route == "signal":
+            sim = simulate_signal_chain(rng, config, direction, count)
+            stat = np.real(sim.y_i * np.conj(sim.gain * sim.h1 * sim.h2))
+            s_ri = sim.s1 if direction.r_i == 1 else sim.s2
+            tally[0] += int(np.count_nonzero((stat > 0) != (s_ri > 0)))
+            continue
+        rho1, rho2 = sample_channel_gains(rng, config.omega1, config.omega2, count)
+        values = sndr(config, direction, rho1, rho2)
+        if route == "outage":
+            tally[0] += int(np.count_nonzero(values <= x))
+        else:
+            per_sample = mod.alpha * 0.5 * erfc(np.sqrt(mod.beta * values))
+            tally[1] += float(per_sample.sum())
+            tally[2] += float(np.square(per_sample).sum())
+    return tally
+
+
+@pytest.mark.parametrize("route", SWEEP_ROUTES)
+@pytest.mark.parametrize("n_points", sorted(SWEEP_POWERS))
+@pytest.mark.parametrize("assumed", (None, 0.3))
+@pytest.mark.parametrize("direction", (Direction(1), Direction(2)))
+def test_sweep_points_equal_per_point_reference(route, n_points, assumed, direction):
+    # every point of a sweep, drawn once per block, is tallied as if alone
+    base = fig_config(1.0, 0.1, 0.2, assumed=assumed)
+    powers = SWEEP_POWERS[n_points]
+    mc = McConfig(seed=17, n_samples=2 * BLOCK + 17)
+    n = mc.n_samples
+    x, mod = 2.0, Modulation(alpha=2.0, beta=0.5)
+    if route == "outage":
+        estimates = mc_outage_sweep(base, OutageQuery(x, direction), powers, mc)
+    elif route == "expectation":
+        estimates = mc_ser_expectation_sweep(base, direction, mod, powers, mc)
+    else:
+        estimates = mc_ser_signal_level_sweep(base, direction, powers, mc)
+    assert len(estimates) == n_points
+    for k, est in enumerate(estimates):
+        config = _point_config(base, powers, k)
+        count, total, total_sq = _reference_tally(route, config, direction, mc, x, mod)
+        if route == "expectation":
+            mean = total / n
+            variance = max(0.0, (total_sq - total * total / n) / (n - 1))
+            margin = NormalDist().inv_cdf(0.975) * np.sqrt(variance / n)
+            assert (est.mean, est.ci_low, est.ci_high) == (mean, max(0.0, mean - margin), min(2.0, mean + margin))
+        else:
+            assert est.mean == count / n
+            assert (est.ci_low, est.ci_high) == wilson_interval(count, n)
+        assert (est.n_samples, est.seed) == (n, 17)
+
+
+@pytest.mark.parametrize("route", SWEEP_ROUTES)
+def test_sweep_rows_do_not_depend_on_grouping_or_lanes(route, monkeypatch):
+    # more points than one group holds, with a partial last block
+    p1 = np.geomspace(1.0, 1e6, montecarlo.POINT_GROUP + 3)
+    powers = (p1, 2.0 * p1, p1 / 2)
+    base = fig_config(1.0, assumed=0.05)
+    mc = McConfig(seed=5, n_samples=BLOCK + 5)
+
+    def sweep():
+        if route == "outage":
+            return mc_outage_sweep(base, OutageQuery(5.0, D1), powers, mc)
+        if route == "expectation":
+            return mc_ser_expectation_sweep(base, D1, BPSK, powers, mc)
+        return mc_ser_signal_level_sweep(base, D1, powers, mc)
+
+    results = []
+    for group, lanes in ((1, 1), (2, 2), (montecarlo.POINT_GROUP, 1), (montecarlo.POINT_GROUP, 2)):
+        monkeypatch.setattr(montecarlo, "POINT_GROUP", group)
+        monkeypatch.setattr(montecarlo, "available_lanes", lambda lanes=lanes: lanes)
+        results.append(sweep())
+    assert all(result == results[0] for result in results)
+
+
+def test_sweeps_reject_bad_powers():
+    for powers in ((np.array([1.0, -1.0]), np.ones(2), np.ones(2)),
+                   (np.ones(2), np.ones(3), np.ones(2)),
+                   (np.array([np.inf]), np.ones(1), np.ones(1))):
+        with pytest.raises(ValueError):
+            mc_outage_sweep(fig_config(1.0), OutageQuery(1.0, D1), powers, McConfig(seed=1, n_samples=10))
 
 
 def test_available_lanes_is_capped_by_cpu_count(monkeypatch):
@@ -251,6 +354,16 @@ def test_wilson_interval_properties():
     assert lo < 0.5 < hi
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+def test_wilson_bounds_are_exact_at_the_ends():
+    # the rounded formula gave an upper bound of 1 - 2^-53 at 20000 of 20000
+    for trials in (1, 2, 3, 100, BLOCK + 1, 20000, 10**6):
+        for confidence in (0.95, 0.9973002039367398):
+            assert wilson_interval(0, trials, confidence)[0] == 0.0
+            assert wilson_interval(trials, trials, confidence)[1] == 1.0
+            lo, hi = wilson_interval(1, trials + 1, confidence)
+            assert 0.0 < lo < hi < 1.0
 
 
 def test_estimate_invariants():
