@@ -69,8 +69,9 @@ class Modulation:
     name: str = ""
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("modulation constants alpha, beta must be positive")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"modulation constant {name} must be finite and positive, got {value!r}")
 
 
 MODULATIONS = {
@@ -322,6 +323,10 @@ def _gk21(integrand, n: int, edges: np.ndarray, spec: QuadratureSpec) -> np.ndar
 # spans g^-(K-1) of the range.
 _CEILING_GRADING = 4.0
 _CEILING_PANELS = 10
+# The first initial panel [0, e1] is split at e1*g^-k, k = K..1, so the
+# innermost panel spans g^-K of it.
+_ORIGIN_GRADING = 2.0
+_ORIGIN_PANELS = 8
 
 
 def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation, spec: QuadratureSpec) -> np.ndarray:
@@ -331,8 +336,9 @@ def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation, spec: QuadratureSpec) 
     substitution x = u^2 removes the inverse-square-root singularity; the
     region beyond the ceiling, where the CDF is identically 1, integrates to
     the exact tail (alpha/2) * erfc(sqrt(beta/c)), so no quadrature panel
-    straddles the kink at x = 1/c.  The tolerances of `spec` apply to the
-    quadrature part of the SER.
+    straddles the kink at x = 1/c.  The initial panels are graded at both
+    ends of the range, so that a sweep usually needs no bisection at all.
+    The tolerances of `spec` apply to the quadrature part of the SER.
     """
     alpha, beta = mod.alpha, mod.beta
     scale = alpha * math.sqrt(beta) / math.sqrt(math.pi)
@@ -347,6 +353,13 @@ def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation, spec: QuadratureSpec) 
             # ceiling whose width shrinks like p^(-1/2); a single panel's
             # nodes can miss it, so the first panels are graded towards it.
             edges = np.append(ceiling * (1.0 - _CEILING_GRADING ** -np.arange(_CEILING_PANELS)), ceiling)
+    # Near x = 0 the CDF has an x*ln(x) term (z*K1(z) = 1 + (z^2/2)(ln(z/2) +
+    # gamma - 1/2) + O(z^4 ln z), DLMF 10.31.1, with z^2 proportional to x),
+    # which is u^2*ln(u) in u and converges slowly on a panel that touches 0;
+    # bisection would halve that panel once per round, so the first panel is
+    # graded towards 0 up front.
+    origin = edges[1] * _ORIGIN_GRADING ** -np.arange(_ORIGIN_PANELS, 0, -1)
+    edges = np.concatenate([edges[:1], origin, edges[1:]])
 
     def integrand(u, row):
         x = u * u
@@ -429,10 +442,11 @@ def invert_impairment_for_op(
     """
     if not 0.0 < target_op < 1.0:
         raise InfeasibleTargetError("target outage probability must lie in (0, 1)")
-    if not x > 0:
-        raise ValueError("threshold x must be strictly positive")
-    if not (omega_i > 0 and omega_ri > 0):
-        raise ValueError("average channel gains must be positive")
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"threshold x must be finite and strictly positive, got {x!r}")
+    for name, value in (("omega_i", omega_i), ("omega_ri", omega_ri)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"average channel gain {name} must be finite and positive, got {value!r}")
     denom = x * (omega_i - target_op * (omega_i - omega_ri))
     if denom <= 0:
         raise InfeasibleTargetError("no finite impairment bound for these parameters")

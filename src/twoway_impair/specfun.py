@@ -92,13 +92,21 @@ def _k1_series(z: np.ndarray) -> np.ndarray:
 
 
 def _k1e_chebyshev(z: np.ndarray) -> np.ndarray:
-    """exp(z)*K1(z) on z > 2: Clenshaw sum of the Chebyshev fit in t = 4/z - 1."""
+    """exp(z)*K1(z) on z > 2: Clenshaw sum of the Chebyshev fit in t = 4/z - 1.
+
+    The recurrence b0 = 2t*b1 - b2 + c runs in three rotating buffers, so the
+    loop allocates nothing.
+    """
     t = 4.0 / z - 1.0
     t2 = 2.0 * t
+    b0 = np.empty_like(t)
     b1 = np.zeros_like(t)
-    b2 = 0.0
+    b2 = np.zeros_like(t)
     for c in reversed(_K1E_CHEB[1:]):
-        b1, b2 = t2 * b1 - b2 + c, b1
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
     return (t * b1 - b2 + 0.5 * _K1E_CHEB[0]) / np.sqrt(z)
 
 

@@ -309,6 +309,17 @@ def test_ser_meets_its_tolerance_against_independent_reference():
     cases.append((SystemConfig(p1=p1, p2=p1, p3=p1 / 2, n1=1.31, n2=0.58, n3=0.58,
                                omega1=1.8, omega2=1.66,
                                relay_impairments=ImpairmentPair(0.2, 0.2)), D1))
+    # Low power on near-ideal hardware: most of the integral sits near x = 0,
+    # where the CDF's x*ln(x) term is largest.
+    for trial in range(8):
+        p1 = 10.0 ** rng.uniform(0.0, 1.0)
+        kt, kr = (0.0, 0.0) if trial < 4 else rng.uniform(0.0, 0.05, 2)
+        cases.append((SystemConfig(p1=p1, p2=p1 * 10 ** rng.uniform(-0.3, 0.3), p3=p1 / 2,
+                                   n1=10 ** rng.uniform(-0.3, 0.3), n2=10 ** rng.uniform(-0.3, 0.3),
+                                   n3=10 ** rng.uniform(-0.3, 0.3),
+                                   omega1=10 ** rng.uniform(-0.3, 0.3), omega2=10 ** rng.uniform(-0.6, 0.6),
+                                   relay_impairments=ImpairmentPair(float(kt), float(kr))),
+                      D1 if trial % 2 == 0 else D2))
     for trial, (cfg, direction) in enumerate(cases):
         ref = ser_reference(cfg, direction)
         got = ser(cfg, direction, BPSK, spec)
@@ -321,6 +332,52 @@ def test_ser_sweep_matches_pointwise_calls():
     swept = ser_sweep(base, D2, BPSK, (p1, p1, p1 / 2))
     for k, p in enumerate(p1):
         assert abs(swept[k] / ser(fig2_config(p, kappa=0.15), D2, BPSK) - 1.0) <= 1e-12
+
+
+def count_cdf_rounds(monkeypatch):
+    """Count the calls of the GK21 panel kernel: one per quadrature round."""
+    calls = []
+    panels = analytic._gk21_panels
+
+    def counted(*args):
+        calls.append(1)
+        return panels(*args)
+
+    monkeypatch.setattr(analytic, "_gk21_panels", counted)
+    return calls
+
+
+def family_links():
+    """The README's relay family: ideal hardware and EVM 0.05-0.2 in even and
+    uneven splits (same c), for equal and unequal average gains."""
+    for omega2 in (1.0, 2.0):
+        yield ImpairmentPair(0.0, 0.0), omega2
+        for level in (0.05, 0.1, 0.15, 0.2):
+            big = 1.25 * level
+            small = math.sqrt((2.0 * level**2 + level**4 - big * big) / (1.0 + big * big))
+            for kt, kr in ((level, level), (big, small), (small, big)):
+                yield ImpairmentPair(kt, kr), omega2
+
+
+def test_ser_sweeps_finish_in_at_most_two_rounds(monkeypatch):
+    calls = count_cdf_rounds(monkeypatch)
+    p1 = 10.0 ** (np.linspace(0.0, 80.0, 21) / 10.0)
+    for pair, omega2 in family_links():
+        cfg = SystemConfig(p1=1.0, p2=1.0, p3=0.5, n1=1, n2=1, n3=1, omega1=1.0, omega2=omega2,
+                           relay_impairments=pair)
+        for direction in (D1, D2):
+            calls.clear()
+            ser_sweep(cfg, direction, BPSK, (p1, p1, p1 / 2))
+            assert len(calls) <= 2, (pair, omega2, direction, len(calls))
+
+
+def test_ser_floor_quadrature_finishes_in_at_most_two_rounds(monkeypatch):
+    calls = count_cdf_rounds(monkeypatch)
+    for c in (0.0201, 0.04, 0.0825, 0.5):
+        for omega_i, omega_ri in ((2.0, 1.0), (1.0, 2.0), (1.0, 4.0)):
+            calls.clear()
+            ser_floor_quadrature(BPSK, omega_i, omega_ri, c)
+            assert len(calls) <= 2, (c, omega_i, omega_ri, len(calls))
 
 
 def test_quadrature_failure_raises_with_estimate():

@@ -247,6 +247,23 @@ def test_invert_infeasible_targets():
     assert run_cli(["invert", "ser", "--target", "0.6"]) == 2
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["ser-curve", "--alpha", "inf", "--beta", "1"], "alpha"),
+    (["ser-curve", "--alpha", "1", "--beta", "inf"], "beta"),
+    (["invert", "ser", "--target", "0.1", "--alpha", "inf", "--beta", "1"], "alpha"),
+    (["invert", "op", "--target", "0.1", "--x", "inf"], "threshold x"),
+    (["invert", "op", "--target", "0.1", "--x", "1", "--omega-i", "inf"], "omega_i"),
+    (["invert", "op", "--target", "0.1", "--x", "1", "--omega-ri", "inf"], "omega_ri"),
+])
+def test_infinite_ser_layer_input_exits_2_naming_it(tmp_path, capsys, argv, name):
+    if argv[0] == "ser-curve":
+        argv = argv + ["--config", cfg_with(tmp_path), "--p1-dbw", "0", "30", "--points", "3",
+                       "--out", str(tmp_path / "x.csv")]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err
+
+
 def test_validate_passes(tmp_path, capsys):
     cfg = cfg_with(tmp_path)
     assert run_cli(["validate", "--config", cfg, "--x", "31", "--p1-dbw", "10", "40",

@@ -104,6 +104,27 @@ def test_k1_scalar_and_array_calls_are_bit_identical():
     assert np.ndim(specfun.bessel_k1_scaled(1.5)) == 0
 
 
+def _k1e_chebyshev_reference(z):
+    """The Clenshaw sum written with a fresh array per step, as the in-place loop replaced."""
+    t = 4.0 / z - 1.0
+    t2 = 2.0 * t
+    b1 = np.zeros_like(t)
+    b2 = 0.0
+    for c in reversed(specfun._K1E_CHEB[1:]):
+        b1, b2 = t2 * b1 - b2 + c, b1
+    return (t * b1 - b2 + 0.5 * specfun._K1E_CHEB[0]) / np.sqrt(z)
+
+
+def test_k1_in_place_clenshaw_is_bit_identical_to_reference():
+    rng = np.random.default_rng(27)
+    z = np.concatenate([[np.nextafter(2.0, 3.0), 700.0], 2.0 + rng.random(4000) * 698.0,
+                        np.exp(rng.uniform(np.log(2.0), np.log(700.0), 4000))])
+    assert np.array_equal(specfun._k1e_chebyshev(z), _k1e_chebyshev_reference(z))
+    assert np.array_equal(specfun.bessel_k1_scaled(z), _k1e_chebyshev_reference(z))
+    for value in z[::400]:
+        assert specfun.bessel_k1_scaled(float(value)) == _k1e_chebyshev_reference(np.array([value]))[0]
+
+
 def test_erfc_basics():
     assert specfun.erfc(0.0) == 1.0
     assert rel_err(specfun.erfc(1.0), ERFC_AT_1) < 1e-13
