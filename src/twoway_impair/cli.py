@@ -13,12 +13,12 @@ significant digits, and every Monte-Carlo column is a pure function of
 (seed, n_samples), drawn in 4096-sample blocks, whatever the machine or the
 thread count (TWOWAY_IMPAIR_THREADS only caps the worker pool).
 
-Each curve column comes from one call of the library's sweep kernels over
-the whole power grid: analytic.outage_sweep and analytic.ser_sweep for the
-closed forms, montecarlo.mc_outage_sweep, mc_ser_expectation_sweep and
-mc_ser_signal_level_sweep for the Monte-Carlo columns and `validate`.  Every
-grid point uses the same seed, so the sweep draws each block once for all
-points; each row equals the one-point estimate at its power.
+op-curve, ser-curve and validate share one front that turns the config and
+the sweep flags into a direction, a dBW grid and (p1, p2, p3) arrays; each
+column is then one sweep-kernel call over the grid (analytic.outage_sweep,
+ser_sweep; montecarlo.mc_outage_sweep, mc_ser_expectation_sweep,
+mc_ser_signal_level_sweep), whose Monte-Carlo rows each equal the one-point
+estimate at their power.
 
 Exit status: 0 success, 1 `validate` with fewer than 95% of points inside
 the Monte-Carlo band, 2 usage/config/infeasible-target error, 3 numerical
@@ -45,7 +45,7 @@ from .analytic import (
 from .model import Direction, ImpairmentPair, SystemConfig
 from .montecarlo import McConfig
 
-__all__ = ["SweepSpec", "CurvePoint", "ConfigError", "main", "entry"]
+__all__ = ["SweepSpec", "ConfigError", "main", "entry"]
 
 CSV_SIGNATURE = "# twoway-impair v1"
 DEFAULT_COUPLING = "p2=p1, p3=p1/2"
@@ -74,8 +74,13 @@ class SweepSpec:
     power_coupling: str = DEFAULT_COUPLING
 
     def __post_init__(self):
-        if not (math.isfinite(self.p1_dbw_start) and math.isfinite(self.p1_dbw_stop)):
-            raise ValueError("sweep bounds must be finite")
+        for name, dbw in (("start", self.p1_dbw_start), ("stop", self.p1_dbw_stop)):
+            try:
+                watts = dbw_to_watt(dbw)
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:
+                raise ValueError(f"sweep {name} {dbw!r} dBW is not a finite positive power in watts")
         if not self.p1_dbw_start < self.p1_dbw_stop:
             raise ValueError("sweep start must be below sweep stop")
         if self.n_points < 2:
@@ -83,18 +88,6 @@ class SweepSpec:
 
     def grid_dbw(self) -> np.ndarray:
         return np.linspace(self.p1_dbw_start, self.p1_dbw_stop, self.n_points)
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One output row; Monte-Carlo fields are None when sampling was not requested."""
-
-    p1_dbw: float
-    analytic: float
-    asymptote: float | None
-    mc_mean: float | None = None
-    mc_ci_low: float | None = None
-    mc_ci_high: float | None = None
 
 
 def parse_config(path: str) -> SystemConfig:
@@ -155,11 +148,12 @@ def parse_coupling(rule: str) -> tuple[float, float]:
         elif rest.startswith("*"):
             factor = float(rest[1:])
         elif rest.startswith("/"):
-            factor = 1.0 / float(rest[1:])
+            divisor = float(rest[1:])
+            factor = 1.0 / divisor if divisor else math.inf
         else:
             raise ValueError(f"cannot parse coupling clause {clause!r}")
-        if not factor > 0:
-            raise ValueError(f"coupling multiplier must be positive in {clause!r}")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"coupling multiplier must be finite and positive in {clause!r}")
         multipliers[key] = factor
     if set(multipliers) != {"p2", "p3"}:
         raise ValueError(f"coupling rule must set both p2 and p3, got {rule!r}")
@@ -174,43 +168,33 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _power_grid(sweep: SweepSpec):
-    """The sweep's dBW grid and its (p1, p2, p3) arrays in linear watts."""
+def _sweep(args):
+    """The config, direction, dBW grid and (p1, p2, p3) arrays in watts of a sweep command."""
+    base = parse_config(args.config)
+    sweep = SweepSpec(args.p1_dbw[0], args.p1_dbw[1], args.points, args.coupling)
     m2, m3 = parse_coupling(sweep.power_coupling)
     grid = [float(dbw) for dbw in sweep.grid_dbw()]
     p1 = np.array([dbw_to_watt(dbw) for dbw in grid])
-    return grid, (p1, m2 * p1, m3 * p1)
+    return base, Direction(args.direction), grid, (p1, m2 * p1, m3 * p1)
 
 
-def _write_csv(points: list[CurvePoint], with_asymptote: bool, with_mc: bool,
-               out_path: str, extra_comments: list[str]):
-    columns = ["p1_dbw", "analytic"]
-    if with_asymptote:
-        columns.append("asymptote")
-    if with_mc:
-        columns += ["mc_mean", "mc_ci_low", "mc_ci_high"]
-    lines = [CSV_SIGNATURE]
-    lines += extra_comments
-    lines.append(",".join(columns))
-    for pt in points:
-        row = [_fmt(pt.p1_dbw), _fmt(pt.analytic)]
-        if with_asymptote:
-            row.append(_fmt(pt.asymptote))
-        if with_mc:
-            row += [_fmt(pt.mc_mean), _fmt(pt.mc_ci_low), _fmt(pt.mc_ci_high)]
-        lines.append(",".join(row))
+def _mc_columns(estimates) -> dict:
+    """The mc_mean, mc_ci_low and mc_ci_high columns of a sweep's estimates (None: no columns)."""
+    return {f"mc_{field}": None if estimates is None else [getattr(est, field) for est in estimates]
+            for field in ("mean", "ci_low", "ci_high")}
+
+
+def _write_csv(out_path: str, comments: list[str], **columns):
+    """Write the named columns in order, leaving out every column that is None."""
+    columns = {name: values for name, values in columns.items() if values is not None}
+    lines = [CSV_SIGNATURE, *comments, ",".join(columns)]
+    lines += [",".join(_fmt(value) for value in row) for row in zip(*columns.values())]
     text = "\n".join(lines) + "\n"
     if out_path == "-":
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-
-
-def _curve_point(dbw: float, value, floor, est) -> CurvePoint:
-    if est is None:
-        return CurvePoint(dbw, float(value), floor)
-    return CurvePoint(dbw, float(value), floor, est.mean, est.ci_low, est.ci_high)
 
 
 def _mc_config(args, confidence: float = 0.95) -> McConfig:
@@ -231,29 +215,21 @@ def _resolve_modulation(args) -> Modulation:
 
 
 def _cmd_op_curve(args) -> int:
-    base = parse_config(args.config)
-    sweep = SweepSpec(args.p1_dbw[0], args.p1_dbw[1], args.points, args.coupling)
-    direction = Direction(args.direction)
+    base, direction, grid, powers = _sweep(args)
     _, _, _, om_i, om_ri = model.link_params(base, direction)
     c = model.derived_constants(base, direction).c
     floor = float(analytic.outage_asymptotic(om_i, om_ri, c, args.x))
 
     query = OutageQuery(args.x, direction)
-    grid, powers = _power_grid(sweep)
     values = analytic.outage_sweep(base, query, powers)
-    estimates = [None] * len(grid)
-    if args.mc:
-        estimates = montecarlo.mc_outage_sweep(base, query, powers, _mc_config(args))
-    points = [_curve_point(dbw, value, floor, est) for dbw, value, est in zip(grid, values, estimates)]
-    _write_csv(points, with_asymptote=True, with_mc=args.mc, out_path=args.out,
-               extra_comments=[])
+    estimates = montecarlo.mc_outage_sweep(base, query, powers, _mc_config(args)) if args.mc else None
+    _write_csv(args.out, [], p1_dbw=grid, analytic=values.tolist(), asymptote=[floor] * len(grid),
+               **_mc_columns(estimates))
     return 0
 
 
 def _cmd_ser_curve(args) -> int:
-    base = parse_config(args.config)
-    sweep = SweepSpec(args.p1_dbw[0], args.p1_dbw[1], args.points, args.coupling)
-    direction = Direction(args.direction)
+    base, direction, grid, powers = _sweep(args)
     mod = _resolve_modulation(args)
     if args.mc and args.mc_route == "signal" and (mod.alpha, mod.beta) != (1.0, 1.0):
         raise ValueError("--mc-route signal simulates BPSK only (alpha=beta=1)")
@@ -270,17 +246,14 @@ def _cmd_ser_curve(args) -> int:
             comments.append("# asymptote: quadrature over the asymptotic outage CDF "
                             "(extension; unequal average channel gains)")
 
-    grid, powers = _power_grid(sweep)
     values = analytic.ser_sweep(base, direction, mod, powers)
-    estimates = [None] * len(grid)
-    if args.mc:
-        if args.mc_route == "signal":
-            estimates = montecarlo.mc_ser_signal_level_sweep(base, direction, powers, _mc_config(args))
-        else:
-            estimates = montecarlo.mc_ser_expectation_sweep(base, direction, mod, powers, _mc_config(args))
-    points = [_curve_point(dbw, value, floor, est) for dbw, value, est in zip(grid, values, estimates)]
-    _write_csv(points, with_asymptote=floor is not None, with_mc=args.mc,
-               out_path=args.out, extra_comments=comments)
+    estimates = None
+    if args.mc and args.mc_route == "signal":
+        estimates = montecarlo.mc_ser_signal_level_sweep(base, direction, powers, _mc_config(args))
+    elif args.mc:
+        estimates = montecarlo.mc_ser_expectation_sweep(base, direction, mod, powers, _mc_config(args))
+    _write_csv(args.out, comments, p1_dbw=grid, analytic=values.tolist(),
+               asymptote=None if floor is None else [floor] * len(grid), **_mc_columns(estimates))
     return 0
 
 
@@ -301,15 +274,12 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    base = parse_config(args.config)
-    sweep = SweepSpec(args.p1_dbw[0], args.p1_dbw[1], args.points, args.coupling)
-    direction = Direction(args.direction)
+    base, direction, grid, powers = _sweep(args)
     mc = _mc_config(args, THREE_SIGMA_CONFIDENCE)
 
     print(f"{'p1_dbw':>8}  {'analytic':>20}  {'mc_mean':>20}  "
           f"{'ci_low':>20}  {'ci_high':>20}  flag")
     query = OutageQuery(args.x, direction)
-    grid, powers = _power_grid(sweep)
     values = analytic.outage_sweep(base, query, powers)
     estimates = montecarlo.mc_outage_sweep(base, query, powers, mc)
     passed = 0

@@ -11,6 +11,10 @@ One SNDR form covers every relay, whatever receive EVM kappa_hat_r its gain
 normalization assumes: kappa_hat_r enters only the constants of
 derived_constants.
 
+sndr and relaying_gain take one SystemConfig, so a Monte-Carlo power sweep
+calls them once per sweep point; link_params and derived_constants also take
+whole sweep arrays (`powers=`), for the analytic layer's closed forms.
+
 All powers and noise variances are linear watts; dB conversion belongs to the
 CLI.  Every function is pure and accepts either scalars or numpy arrays for
 the channel gains rho1, rho2.
@@ -161,7 +165,7 @@ def link_params(config: SystemConfig, direction: Direction, powers=None):
     """(p_i, p_ri, n_i, omega_i, omega_ri) as seen from the receiving terminal.
 
     `powers=(p1, p2, p3)`, scalars or the arrays of a power sweep, stand in
-    for the config's own transmit powers.
+    for the config's own transmit powers (the analytic closed forms).
     """
     p1, p2, _ = (config.p1, config.p2, config.p3) if powers is None else powers
     if direction.i == 1:
@@ -198,19 +202,17 @@ def derived_constants(config: SystemConfig, direction: Direction, powers=None) -
     )
 
 
-def relaying_gain(config: SystemConfig, rho1, rho2, powers=None):
+def relaying_gain(config: SystemConfig, rho1, rho2):
     """Variable relaying gain G for instantaneous channel gains (rho1, rho2).
 
     G = sqrt(p3 / ((rho1 p1 + rho2 p2)(1 + kappa_hat_r^2) + n3)) where
     kappa_hat_r is the relay's assumed receive EVM.  With a matched
     assumption the relay's average transmit power is exactly p3; a
-    mismatched assumption mis-normalizes the output power.  `powers` as in
-    sndr.
+    mismatched assumption mis-normalizes the output power.
     """
-    p1, p2, p3 = (config.p1, config.p2, config.p3) if powers is None else powers
     khat2 = config.gain_kappa_r**2
-    received = (rho1 * p1 + rho2 * p2) * (1.0 + khat2) + config.n3
-    return np.sqrt(p3 / received)
+    received = (rho1 * config.p1 + rho2 * config.p2) * (1.0 + khat2) + config.n3
+    return np.sqrt(config.p3 / received)
 
 
 def sndr_from_gain(config: SystemConfig, direction: Direction, rho1, rho2):
@@ -230,28 +232,24 @@ def sndr_from_gain(config: SystemConfig, direction: Direction, rho1, rho2):
     return rho1 * rho2 * p_ri / noise
 
 
-def sndr(config: SystemConfig, direction: Direction, rho1, rho2, powers=None):
+def sndr(config: SystemConfig, direction: Direction, rho1, rho2):
     """Effective SNDR at terminal T_i for channel gains (rho1, rho2).
 
     rho1*rho2 / (c (p_i/p_ri) rho_i^2 + c rho1 rho2 + b_i rho_ri
     + (a_i + (p_i/p_ri) b_i) rho_i + n_i n3/(p_ri p3)), with the constants of
     derived_constants; valid whatever receive EVM the relaying gain assumes.
-    rho values of exactly 0 are legal and yield SNDR 0.  `powers=(p1, p2,
-    p3)` stand in for the config's own powers; as column arrays of a power
-    sweep they give one row of SNDR values per sweep point, each row equal
-    bit for bit to the call at that point's powers.
+    rho values of exactly 0 are legal and yield SNDR 0.
     """
-    p_i, p_ri, n_i, _, _ = link_params(config, direction, powers)
-    p3 = config.p3 if powers is None else powers[2]
+    p_i, p_ri, n_i, _, _ = link_params(config, direction)
     rho_i, rho_ri = _rho_roles(direction, rho1, rho2)
-    dc = derived_constants(config, direction, powers)
+    dc = derived_constants(config, direction)
     ratio = p_i / p_ri
     denom = (
         rho_i * rho_i * ratio * dc.c
         + rho1 * rho2 * dc.c
         + rho_ri * dc.b_i
         + rho_i * (dc.a_i + ratio * dc.b_i)
-        + n_i * config.n3 / (p_ri * p3)
+        + n_i * config.n3 / (p_ri * config.p3)
     )
     return rho1 * rho2 / denom
 

@@ -15,22 +15,23 @@ one with the same seed.
 The estimators work on whole transmit-power sweeps (mc_outage_sweep,
 mc_ser_expectation_sweep, mc_ser_signal_level_sweep), as the analytic layer
 does.  No draw depends on the powers, so each block is drawn once and every
-sweep point is tallied on it (common random numbers): point k of a sweep
-equals the one-point estimate at its powers, bit for bit.  mc_outage,
-mc_ser_expectation and mc_ser_signal_level are one-point sweeps.
+sweep point, a SystemConfig with that point's powers, is tallied on it in
+turn (common random numbers): point k of a sweep equals the one-point
+estimate at its powers, bit for bit.  mc_outage, mc_ser_expectation and
+mc_ser_signal_level are one-point sweeps.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
 
 from .analytic import Modulation, OutageQuery, _own_powers, _sweep_powers
-from .model import Direction, SystemConfig, relaying_gain, sndr
+from .model import Direction, SystemConfig, relaying_gain, sndr, sndr_asymptotic
 
 __all__ = [
     "BLOCK",
@@ -57,11 +58,6 @@ _MAX_SEED = 2**64
 # changes every estimate.  4096 keeps a block's signal chain (about a dozen
 # complex arrays) small while amortizing the per-block generator set-up.
 BLOCK = 4096
-
-# Sweep points whose SNDR rows are evaluated together on one block's draws.
-# Not part of the contract (a point's tally is the same in any group); it
-# bounds a block's working set at a few arrays of POINT_GROUP*BLOCK values.
-POINT_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -194,11 +190,24 @@ def _run_blocks(mc: McConfig, worker):
     return totals
 
 
-def _point_groups(powers) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The checked powers of a sweep as (p1, p2, p3) columns, POINT_GROUP points at a time."""
-    p1, p2, p3 = (p[:, None] for p in _sweep_powers(powers))
-    return [(p1[k:k + POINT_GROUP], p2[k:k + POINT_GROUP], p3[k:k + POINT_GROUP])
-            for k in range(0, len(p1), POINT_GROUP)]
+def _sweep_points(config: SystemConfig, powers) -> list[SystemConfig]:
+    """The points of a power sweep, each the config with that point's checked powers."""
+    return [replace(config, p1=float(p1), p2=float(p2), p3=float(p3))
+            for p1, p2, p3 in zip(*_sweep_powers(powers))]
+
+
+def _fading_sweep(config: SystemConfig, direction: Direction, powers, mc: McConfig, statistic):
+    """Per sweep point, statistic(SNDR of a block's draws at that point) summed in block order.
+
+    Each block's channel gains are drawn once and shared by every point.
+    """
+    points = _sweep_points(config, powers)
+
+    def worker(rng, count):
+        rho1, rho2 = sample_channel_gains(rng, config.omega1, config.omega2, count)
+        return np.array([statistic(sndr(point, direction, rho1, rho2)) for point in points])
+
+    return _run_blocks(mc, worker)
 
 
 def _proportion_estimate(successes: int, mc: McConfig) -> McEstimate:
@@ -223,16 +232,9 @@ def mc_outage_sweep(config: SystemConfig, query: OutageQuery, powers, mc: McConf
     """
     if query.x < 0:
         raise ValueError("outage threshold must be nonnegative")
-    groups = _point_groups(powers)
-
-    def worker(rng, count):
-        rho1, rho2 = sample_channel_gains(rng, config.omega1, config.omega2, count)
-        return np.concatenate([
-            np.count_nonzero(sndr(config, query.direction, rho1, rho2, group) <= query.x, axis=1)
-            for group in groups
-        ])
-
-    return [_proportion_estimate(int(successes), mc) for successes in _run_blocks(mc, worker)]
+    counts = _fading_sweep(config, query.direction, powers, mc,
+                           lambda values: np.count_nonzero(values <= query.x))
+    return [_proportion_estimate(int(successes), mc) for successes in counts]
 
 
 def mc_outage(config: SystemConfig, query: OutageQuery, mc: McConfig) -> McEstimate:
@@ -271,20 +273,13 @@ def mc_ser_expectation_sweep(
     # Imported here, its only use, so that importing the package loads no scipy.
     from scipy.special import erfc as _erfc_vec
 
-    groups = _point_groups(powers)
-
-    def sums(rho1, rho2, group):
-        values = sndr(config, direction, rho1, rho2, group)
+    def sums(values):
         # Q(sqrt(2*beta*s)) = erfc(sqrt(beta*s))/2
         per_sample = mod.alpha * 0.5 * _erfc_vec(np.sqrt(mod.beta * values))
-        return np.stack([per_sample.sum(axis=1), np.square(per_sample).sum(axis=1)], axis=1)
-
-    def worker(rng, count):
-        rho1, rho2 = sample_channel_gains(rng, config.omega1, config.omega2, count)
-        return np.concatenate([sums(rho1, rho2, group) for group in groups])
+        return per_sample.sum(), np.square(per_sample).sum()
 
     return [_mean_estimate(float(total), float(total_sq), mod.alpha, mc)
-            for total, total_sq in _run_blocks(mc, worker)]
+            for total, total_sq in _fading_sweep(config, direction, powers, mc, sums)]
 
 
 def mc_ser_expectation(config: SystemConfig, direction: Direction, mod: Modulation, mc: McConfig) -> McEstimate:
@@ -361,7 +356,7 @@ def mc_ser_signal_level_sweep(config: SystemConfig, direction: Direction, powers
     mc_ser_signal_level of the config with the powers of point k, bit for
     bit.  `powers` as in mc_outage_sweep.
     """
-    points = list(zip(*_sweep_powers(powers)))
+    points = _sweep_points(config, powers)
     kr2 = config.kappa_r**2
     kt2 = config.kappa_t**2
     n_i = config.n1 if direction.i == 1 else config.n2
@@ -382,21 +377,19 @@ def mc_ser_signal_level_sweep(config: SystemConfig, direction: Direction, powers
         h_i2 = h_i**2
         sent = (sign1 if direction.r_i == 1 else sign2) > 0
 
-        # one point at a time: numpy's complex loops ran 2-3x slower per point
-        # on rows broadcast to (points, count) than on 1-D arrays
-        def errors(p1, p2, p3):
+        def errors(point):
             # simulate_signal_chain's arithmetic, in its order
-            s1 = np.sqrt(p1) * sign1
-            s2 = np.sqrt(p2) * sign2
-            eta_3r = np.sqrt(kr2 * (rho1 * p1 + rho2 * p2)) * unit_3r
+            s1 = np.sqrt(point.p1) * sign1
+            s2 = np.sqrt(point.p2) * sign2
+            eta_3r = np.sqrt(kr2 * (rho1 * point.p1 + rho2 * point.p2)) * unit_3r
             y3 = h1 * s1 + h2 * s2 + eta_3r + nu3
-            eta_3t = np.sqrt(kt2 * p3) * unit_3t
-            gain = relaying_gain(config, rho1, rho2, (p1, p2, p3))
+            eta_3t = np.sqrt(kt2 * point.p3) * unit_3t
+            gain = relaying_gain(point, rho1, rho2)
             y_i = h_i * (gain * y3 + eta_3t) + nu_i - gain * h_i2 * (s1 if direction.i == 1 else s2)
             stat = np.real(y_i * np.conj(gain * h1 * h2))
             return np.count_nonzero((stat > 0) != sent)
 
-        return np.array([errors(*point) for point in points])
+        return np.array([errors(point) for point in points])
 
     return [_proportion_estimate(int(errors), mc) for errors in _run_blocks(mc, worker)]
 
@@ -422,8 +415,6 @@ def mc_outage_asymptotic(
 
     def worker(rng, count):
         rho1, rho2 = sample_channel_gains(rng, omega1, omega2, count)
-        rho_ri = rho2 if direction.i == 1 else rho1
-        values = rho_ri / ((rho1 + rho2) * c)
-        return np.count_nonzero(values <= x)
+        return np.count_nonzero(sndr_asymptotic(direction, rho1, rho2, c) <= x)
 
     return _proportion_estimate(int(_run_blocks(mc, worker)), mc)

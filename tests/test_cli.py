@@ -1,5 +1,6 @@
 """CLI behavior: CSV format and stability, exit codes, command semantics."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -326,6 +327,35 @@ def test_csv_bytes_stable_across_runs_and_threads(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+# sha256 of the mc_mean,mc_ci_low,mc_ci_high text (header and 19 rows); a change
+# that moves any Monte-Carlo byte has to update these on purpose
+MC_COLUMN_DIGESTS = {
+    ("op-curve", "1"):
+        "3dd13f31a5eb38cbc303b3ff5dd1a1f7a455e3d5e18c11a3b9081a36def1fd4e",
+    ("op-curve", "2"):
+        "c664d0b8a33d3754bfd8ef95a8438f6e8d639523580a261268afc0fe8e162531",
+    ("ser-curve", "1"):
+        "9aff95ef69eb4a15f5e5fe9911731fbd0c21df30bbd6d343f9e8adfd3e627e67",
+    ("ser-curve", "2"):
+        "7442b25a5a107a2a79eb0fe2dc68fe335a5ad9f6890dc0a2ff82169ecde69242",
+}
+
+
+@pytest.mark.parametrize("command, direction", sorted(MC_COLUMN_DIGESTS))
+def test_mc_column_bytes_are_pinned(tmp_path, capsys, command, direction):
+    # 19 points and a partial last block; unlike the same-commit comparisons
+    # above, this catches a change that moves every run alike
+    argv = ["op-curve", "--x", "3", "--mc"] if command == "op-curve" else \
+        ["ser-curve", "--mc", "--mc-route", "signal"]
+    assert run_cli([*argv, "--config", cfg_with(tmp_path), "--direction", direction,
+                    "--p1-dbw", "0", "36", "--points", "19",
+                    "--samples", "4097", "--seed", "11"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    columns = "\n".join(",".join(line.split(",")[-3:]) for line in lines)
+    assert columns.startswith("mc_mean,mc_ci_low,mc_ci_high\n") and len(lines) == 20
+    assert hashlib.sha256(columns.encode()).hexdigest() == MC_COLUMN_DIGESTS[command, direction], columns
+
+
 def test_db_conversion_only_at_boundary(tmp_path):
     # CSV analytic values must equal direct library evaluation at 10^(dBW/10)
     cfg_path = cfg_with(tmp_path)
@@ -362,11 +392,19 @@ def test_custom_coupling_honored(tmp_path):
     assert rows[0][1] == format(want, ".17g")
 
 
-def test_bad_coupling_exits_2(tmp_path):
-    cfg = cfg_with(tmp_path)
-    assert run_cli(["op-curve", "--config", cfg, "--x", "31", "--coupling", "p2=p3",
-                    "--p1-dbw", "0", "40", "--points", "3",
-                    "--out", str(tmp_path / "x.csv")]) == 2
+@pytest.mark.parametrize("flags, named", [
+    (["--coupling", "p2=p3"], "'p2=p3'"),
+    (["--coupling", "p2=p1/0, p3=p1/2"], "'p2=p1/0'"),
+    (["--coupling", "p2=p1, p3=p1*inf"], "'p3=p1*inf'"),
+    (["--p1-dbw", "0", "4000"], "stop 4000"),
+    (["--p1-dbw", "-4000", "0"], "start -4000"),
+], ids=["unparsable-coupling", "zero-divisor", "infinite-multiplier", "stop-overflows", "start-underflows"])
+def test_bad_sweep_flags_exit_2(tmp_path, capsys, flags, named):
+    # rejected where they enter, naming the clause or bound, not as a numerical failure
+    argv = ["op-curve", "--config", cfg_with(tmp_path), "--x", "31", "--points", "3",
+            "--p1-dbw", "0", "40", *flags]
+    assert run_cli(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -189,9 +189,9 @@ def test_sweep_points_equal_per_point_reference(route, n_points, assumed, direct
 
 
 @pytest.mark.parametrize("route", SWEEP_ROUTES)
-def test_sweep_rows_do_not_depend_on_grouping_or_lanes(route, monkeypatch):
-    # more points than one group holds, with a partial last block
-    p1 = np.geomspace(1.0, 1e6, montecarlo.POINT_GROUP + 3)
+def test_sweep_rows_do_not_depend_on_lanes(route, monkeypatch):
+    # 19 points, with a partial last block
+    p1 = np.geomspace(1.0, 1e6, 19)
     powers = (p1, 2.0 * p1, p1 / 2)
     base = fig_config(1.0, assumed=0.05)
     mc = McConfig(seed=5, n_samples=BLOCK + 5)
@@ -204,11 +204,10 @@ def test_sweep_rows_do_not_depend_on_grouping_or_lanes(route, monkeypatch):
         return mc_ser_signal_level_sweep(base, D1, powers, mc)
 
     results = []
-    for group, lanes in ((1, 1), (2, 2), (montecarlo.POINT_GROUP, 1), (montecarlo.POINT_GROUP, 2)):
-        monkeypatch.setattr(montecarlo, "POINT_GROUP", group)
+    for lanes in (1, 2):
         monkeypatch.setattr(montecarlo, "available_lanes", lambda lanes=lanes: lanes)
         results.append(sweep())
-    assert all(result == results[0] for result in results)
+    assert results[0] == results[1]
 
 
 def test_sweeps_reject_bad_powers():

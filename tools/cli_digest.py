@@ -1,0 +1,124 @@
+"""Print a digest of a fixed matrix of CLI commands, to compare two source trees.
+
+Each command runs in-process through `twoway_impair.cli.main`; the script
+prints one line per command: the sha256 of (exit code, stdout, stderr),
+then the argv.  The config files are written to a temporary directory that
+is the working directory while the commands run, so no output depends on
+where the script runs.  To check that a change keeps every output, run it
+against both trees and diff the two outputs:
+
+    PYTHONPATH=<old tree>/src python3 tools/cli_digest.py > old.txt
+    PYTHONPATH=<new tree>/src python3 tools/cli_digest.py > new.txt
+    diff old.txt new.txt
+
+The matrix covers matched and mismatched relays (kappa3r_assumed below and
+above the true receive EVM), ideal hardware, equal and unequal average
+channel gains, both directions, every curve command with both Monte-Carlo
+routes, `--alpha/--beta`, a custom coupling, `validate`, sample counts that
+leave a partial 4096-sample block, sweeps of more than 16 points, and the
+sweep-flag usage errors.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+
+from twoway_impair.cli import main
+
+BASE = {
+    "p1": "1000", "p2": "1000", "p3": "500", "n1": "1", "n2": "1", "n3": "1",
+    "omega1": "2", "omega2": "1", "kappa3t": "0.1", "kappa3r": "0.1",
+}
+CONFIGS = {
+    "matched.cfg": {},
+    "assumed_low.cfg": {"kappa3r_assumed": "0.05"},
+    "assumed_high.cfg": {"kappa3r_assumed": "0.3"},
+    "ideal.cfg": {"kappa3t": "0", "kappa3r": "0"},
+    "equal_gains.cfg": {"omega1": "1", "omega2": "1", "kappa3t": "0.05", "kappa3r": "0.15"},
+}
+COUPLING = "p2=p1*2, p3=p1/3"
+
+
+def curve_commands(cfg: str, direction: str) -> list[list[str]]:
+    sweep = ["--config", cfg, "--direction", direction, "--p1-dbw", "0", "40"]
+    return [
+        ["op-curve", *sweep, "--x", "3", "--points", "19"],
+        ["op-curve", *sweep, "--x", "3", "--points", "19", "--mc", "--samples", "4097"],
+        ["op-curve", *sweep, "--x", "1.5", "--points", "5", "--mc", "--samples", "12289",
+         "--coupling", COUPLING, "--seed", "7"],
+        ["ser-curve", *sweep, "--points", "19"],
+        ["ser-curve", *sweep, "--points", "7", "--coupling", COUPLING],
+        ["ser-curve", *sweep, "--points", "19", "--mc", "--samples", "4097"],
+        ["ser-curve", *sweep, "--points", "5", "--mc", "--samples", "12289",
+         "--alpha", "2", "--beta", "0.5"],
+        ["ser-curve", *sweep, "--points", "19", "--mc", "--mc-route", "signal",
+         "--samples", "4097"],
+        ["ser-curve", *sweep, "--points", "5", "--mc", "--mc-route", "signal",
+         "--samples", "12289", "--coupling", COUPLING, "--seed", "3"],
+        ["validate", *sweep, "--x", "3", "--points", "19", "--samples", "4097"],
+        ["validate", *sweep, "--x", "31", "--points", "5", "--samples", "12289"],
+    ]
+
+
+def matrix() -> list[list[str]]:
+    commands = [
+        curve
+        for cfg in CONFIGS
+        for direction in ("1", "2")
+        for curve in curve_commands(cfg, direction)
+    ]
+    sweep = ["--config", "matched.cfg", "--x", "3", "--points", "3"]
+    commands += [
+        ["op-curve", *sweep, "--p1-dbw", "0", "40", "--coupling", "p2=p3"],
+        ["op-curve", *sweep, "--p1-dbw", "0", "40", "--coupling", "p2=p1/0, p3=p1/2"],
+        ["op-curve", *sweep, "--p1-dbw", "0", "40", "--coupling", "p2=p1*inf, p3=p1/2"],
+        ["op-curve", *sweep, "--p1-dbw", "0", "4000"],
+        ["op-curve", *sweep, "--p1-dbw", "-4000", "0"],
+        ["invert", "op", "--target", "1e-3", "--x", "3", "--omega-i", "2"],
+        ["invert", "ser", "--target", "1e-3", "--modulation", "bpsk"],
+    ]
+    return commands
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(code: int, stdout: str, stderr: str) -> str:
+    h = hashlib.sha256()
+    for part in (str(code), stdout, stderr):
+        data = part.encode("utf-8")
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def main_digest() -> int:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, overrides in CONFIGS.items():
+                with open(name, "w", encoding="utf-8") as handle:
+                    handle.writelines(f"{k} = {v}\n" for k, v in {**BASE, **overrides}.items())
+            for argv in matrix():
+                print(digest(*run(argv)), shlex.join(argv), flush=True)
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())
