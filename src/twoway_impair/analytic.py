@@ -139,17 +139,23 @@ def _closed_form(config: SystemConfig, direction: Direction, powers):
     uses the true receive EVM.
     """
     p_i, p_ri, n_i, om_i, om_ri = link_params(config, direction, powers)
-    dc = derived_constants(config, direction, powers)
     delta = 1.0 + (config.gain_kappa_r**2 - config.kappa_r**2)
     om12 = config.omega1 * config.omega2
-    ratio = p_i / p_ri
-    return dc.c, delta, np.array([
-        dc.a_i / om_ri + dc.b_i / om_i,
-        (dc.b_i / om_ri) * ratio,
-        n_i * config.n3 / (om12 * p_ri * powers[2]),
-        dc.b_i * dc.b_i * p_i / (om12 * p_ri),
-        ratio * om_i / om_ri,
-    ])
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            dc = derived_constants(config, direction, powers)
+            ratio = p_i / p_ri
+            rows = np.array([
+                dc.a_i / om_ri + dc.b_i / om_i,
+                (dc.b_i / om_ri) * ratio,
+                n_i * config.n3 / (om12 * p_ri * powers[2]),
+                dc.b_i * dc.b_i * p_i / (om12 * p_ri),
+                ratio * om_i / om_ri,
+            ])
+    except FloatingPointError:
+        raise ValueError("the sweep powers overflow the outage coefficients; "
+                         "narrow the p1 range or the coupling multipliers") from None
+    return dc.c, delta, rows
 
 
 def _outage(x, c: float, delta: float, rows: np.ndarray) -> np.ndarray:

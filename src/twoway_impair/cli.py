@@ -10,8 +10,7 @@ Powers inside config files are linear watts; the only dB quantity is the
 sweep axis (dB relative to 1 W), converted exactly once at this boundary.
 CSV bytes are stable for fixed inputs and seed: floats are printed with 17
 significant digits, and every Monte-Carlo column is a pure function of
-(seed, n_samples), drawn in 4096-sample blocks, whatever the machine or the
-thread count (TWOWAY_IMPAIR_THREADS only caps the worker pool).
+(seed, n_samples), 4096-sample blocks summed in order, whatever the machine.
 
 op-curve, ser-curve and validate share one front that turns the config and
 the sweep flags into a direction, a dBW grid and (p1, p2, p3) arrays; each
@@ -142,6 +141,8 @@ def parse_coupling(rule: str) -> tuple[float, float]:
         key, _, expr = clause.partition("=")
         if key not in ("p2", "p3") or not expr.startswith("p1"):
             raise ValueError(f"cannot parse coupling clause {clause!r}")
+        if key in multipliers:
+            raise ValueError(f"coupling clause {clause!r} sets {key} a second time")
         rest = expr[2:]
         if rest == "":
             factor = 1.0

@@ -7,8 +7,8 @@ probabilities and symbol error rates with confidence intervals.
 Determinism contract: every estimate is a pure function of
 (seed, n_samples).  The samples are cut into 4096-sample blocks (BLOCK; the
 last one is partial); block b owns the Philox counter-based stream keyed by
-(seed, b), and block tallies are summed in block order, so results are
-bit-identical no matter how many threads execute the blocks or on which
+(seed, b), and the blocks run one after another on the calling thread,
+their tallies summed in block order, so results are bit-identical on every
 machine.  The full blocks of a shorter run are the first blocks of a longer
 one with the same seed.
 
@@ -23,8 +23,6 @@ mc_ser_signal_level are one-point sweeps.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -38,7 +36,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "SignalRealization",
-    "available_lanes",
     "chunk_rng",
     "sample_channel_gains",
     "simulate_signal_chain",
@@ -117,20 +114,6 @@ class SignalRealization:
     gain: np.ndarray
 
 
-def available_lanes() -> int:
-    """Number of parallel execution lanes: the CPU count, capped by TWOWAY_IMPAIR_THREADS."""
-    env = os.environ.get("TWOWAY_IMPAIR_THREADS")
-    if env is not None:
-        try:
-            lanes = int(env)
-        except ValueError:
-            raise ValueError("TWOWAY_IMPAIR_THREADS must be a positive integer") from None
-        if lanes < 1:
-            raise ValueError("TWOWAY_IMPAIR_THREADS must be a positive integer")
-        return min(lanes, os.cpu_count() or 1)
-    return os.cpu_count() or 1
-
-
 def chunk_rng(seed: int, block: int) -> np.random.Generator:
     """Independent counter-based stream for one block.
 
@@ -171,22 +154,10 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
 
 
 def _run_blocks(mc: McConfig, worker):
-    """Evaluate worker(rng, count) per block and sum its tally arrays in block order."""
-    n_blocks = -(-mc.n_samples // BLOCK)
-
-    def one(block: int):
-        return worker(chunk_rng(mc.seed, block), min(BLOCK, mc.n_samples - block * BLOCK))
-
-    lanes = min(available_lanes(), n_blocks)
-    if lanes > 1:
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            tallies = list(pool.map(one, range(n_blocks)))
-    else:
-        tallies = [one(block) for block in range(n_blocks)]
-
-    totals = tallies[0]
-    for tally in tallies[1:]:
-        totals = totals + tally
+    """Sum worker(rng, count) over the blocks, in block order, on the calling thread."""
+    totals = 0
+    for block in range(-(-mc.n_samples // BLOCK)):
+        totals = totals + worker(chunk_rng(mc.seed, block), min(BLOCK, mc.n_samples - block * BLOCK))
     return totals
 
 

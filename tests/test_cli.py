@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -338,6 +339,17 @@ MC_COLUMN_DIGESTS = {
         "9aff95ef69eb4a15f5e5fe9911731fbd0c21df30bbd6d343f9e8adfd3e627e67",
     ("ser-curve", "2"):
         "7442b25a5a107a2a79eb0fe2dc68fe335a5ad9f6890dc0a2ff82169ecde69242",
+    ("ser-curve-expectation", "1"):
+        "6d5aafda2030385bccf8aec3a3230591fc80494b523cbbbe6ddc6cebb731f556",
+    ("ser-curve-expectation", "2"):
+        "b44a81a0cbbf4b1d1f285c2a6b4b917a5137620f615026f5396b4621a08895b7",
+}
+# argv and sample count per command: ser-curve is the signal route; the
+# expectation route's float block sums get three full blocks and a partial one
+MC_COLUMN_RUNS = {
+    "op-curve": (["op-curve", "--x", "3", "--mc"], "4097"),
+    "ser-curve": (["ser-curve", "--mc", "--mc-route", "signal"], "4097"),
+    "ser-curve-expectation": (["ser-curve", "--mc"], "12289"),
 }
 
 
@@ -345,11 +357,10 @@ MC_COLUMN_DIGESTS = {
 def test_mc_column_bytes_are_pinned(tmp_path, capsys, command, direction):
     # 19 points and a partial last block; unlike the same-commit comparisons
     # above, this catches a change that moves every run alike
-    argv = ["op-curve", "--x", "3", "--mc"] if command == "op-curve" else \
-        ["ser-curve", "--mc", "--mc-route", "signal"]
+    argv, samples = MC_COLUMN_RUNS[command]
     assert run_cli([*argv, "--config", cfg_with(tmp_path), "--direction", direction,
                     "--p1-dbw", "0", "36", "--points", "19",
-                    "--samples", "4097", "--seed", "11"]) == 0
+                    "--samples", samples, "--seed", "11"]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     columns = "\n".join(",".join(line.split(",")[-3:]) for line in lines)
     assert columns.startswith("mc_mean,mc_ci_low,mc_ci_high\n") and len(lines) == 20
@@ -398,12 +409,20 @@ def test_custom_coupling_honored(tmp_path):
     (["--coupling", "p2=p1, p3=p1*inf"], "'p3=p1*inf'"),
     (["--p1-dbw", "0", "4000"], "stop 4000"),
     (["--p1-dbw", "-4000", "0"], "start -4000"),
-], ids=["unparsable-coupling", "zero-divisor", "infinite-multiplier", "stop-overflows", "start-underflows"])
+    (["--coupling", "p2=p1, p2=p1*4, p3=p1/2"], "'p2=p1*4'"),
+    (["--coupling", "p2=p1*1e300, p3=p1/2", "--p1-dbw", "0", "80", "--x", "3"], "coupling"),
+    (["--coupling", "p2=p1*1e300, p3=p1/2", "--p1-dbw", "-40", "0", "--x", "3", "--direction", "2"],
+     "coupling"),
+], ids=["unparsable-coupling", "zero-divisor", "infinite-multiplier", "stop-overflows", "start-underflows",
+        "repeated-clause", "coefficients-overflow", "coefficients-overflow-direction-2"])
 def test_bad_sweep_flags_exit_2(tmp_path, capsys, flags, named):
-    # rejected where they enter, naming the clause or bound, not as a numerical failure
+    # rejected with a message naming the clause, bound or coupling, not as a
+    # numerical failure, and without a numpy warning on the way
     argv = ["op-curve", "--config", cfg_with(tmp_path), "--x", "31", "--points", "3",
             "--p1-dbw", "0", "40", *flags]
-    assert run_cli(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 2
     assert named in capsys.readouterr().err
 
 
@@ -422,6 +441,15 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_thread_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, twoway_impair; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,7 +1,7 @@
 """Sampling correctness, reproducibility, and agreement with the closed forms."""
 
 import math
-import os
+import threading
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from twoway_impair import montecarlo
 from twoway_impair.analytic import MODULATIONS, Modulation, OutageQuery, outage_probability, ser
 from twoway_impair.model import Direction, ImpairmentPair, SystemConfig, relaying_gain, sndr
 from twoway_impair.montecarlo import (
@@ -91,19 +90,6 @@ def test_determinism_across_thread_counts(monkeypatch):
         e = mc_ser_signal_level(cfg, D1, mc)
         results.append((o.mean, o.ci_low, o.ci_high, s.mean, s.ci_low, e.mean))
     assert results[0] == results[1]
-
-
-def test_block_scheduling_is_bit_identical(monkeypatch):
-    # 3*BLOCK + 17 samples: three full blocks and a partial one, on 1, 2 and 3 lanes
-    cfg = fig_config(1e3)
-    mc = McConfig(seed=9, n_samples=3 * BLOCK + 17)
-    results = []
-    for lanes in (1, 2, 3):
-        monkeypatch.setattr(montecarlo, "available_lanes", lambda lanes=lanes: lanes)
-        results.append((mc_outage(cfg, OutageQuery(31.0, D1), mc),
-                        mc_ser_expectation(cfg, D1, BPSK, mc),
-                        mc_ser_signal_level(cfg, D1, mc)))
-    assert results[0] == results[1] == results[2]
 
 
 def test_longer_run_extends_shorter_one():
@@ -188,26 +174,21 @@ def test_sweep_points_equal_per_point_reference(route, n_points, assumed, direct
         assert (est.n_samples, est.seed) == (n, 17)
 
 
-@pytest.mark.parametrize("route", SWEEP_ROUTES)
-def test_sweep_rows_do_not_depend_on_lanes(route, monkeypatch):
-    # 19 points, with a partial last block
+def test_sweeps_start_no_thread(monkeypatch):
+    # the blocks run on the calling thread: 19 points, three full blocks and a partial one
+    def refuse(self):
+        raise AssertionError("a Monte-Carlo sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     p1 = np.geomspace(1.0, 1e6, 19)
     powers = (p1, 2.0 * p1, p1 / 2)
     base = fig_config(1.0, assumed=0.05)
-    mc = McConfig(seed=5, n_samples=BLOCK + 5)
-
-    def sweep():
-        if route == "outage":
-            return mc_outage_sweep(base, OutageQuery(5.0, D1), powers, mc)
-        if route == "expectation":
-            return mc_ser_expectation_sweep(base, D1, BPSK, powers, mc)
-        return mc_ser_signal_level_sweep(base, D1, powers, mc)
-
-    results = []
-    for lanes in (1, 2):
-        monkeypatch.setattr(montecarlo, "available_lanes", lambda lanes=lanes: lanes)
-        results.append(sweep())
-    assert results[0] == results[1]
+    mc = McConfig(seed=5, n_samples=3 * BLOCK + 17)
+    for estimates in (mc_outage_sweep(base, OutageQuery(5.0, D1), powers, mc),
+                      mc_ser_expectation_sweep(base, D1, BPSK, powers, mc),
+                      mc_ser_signal_level_sweep(base, D1, powers, mc)):
+        assert len(estimates) == 19
+        assert all(est.n_samples == mc.n_samples for est in estimates)
 
 
 def test_sweeps_reject_bad_powers():
@@ -216,13 +197,6 @@ def test_sweeps_reject_bad_powers():
                    (np.array([np.inf]), np.ones(1), np.ones(1))):
         with pytest.raises(ValueError):
             mc_outage_sweep(fig_config(1.0), OutageQuery(1.0, D1), powers, McConfig(seed=1, n_samples=10))
-
-
-def test_available_lanes_is_capped_by_cpu_count(monkeypatch):
-    monkeypatch.setenv("TWOWAY_IMPAIR_THREADS", "100000")
-    assert montecarlo.available_lanes() == (os.cpu_count() or 1)
-    monkeypatch.setenv("TWOWAY_IMPAIR_THREADS", "1")
-    assert montecarlo.available_lanes() == 1
 
 
 def test_mc_outage_zero_threshold():
