@@ -92,6 +92,25 @@ def test_determinism_across_thread_counts(monkeypatch):
     assert results[0] == results[1]
 
 
+def _refuse_thread(self):
+    raise AssertionError("a Monte-Carlo run started a thread")
+
+
+def test_block_scheduling_is_bit_identical(monkeypatch):
+    # 3*BLOCK + 17 samples: three full blocks and a partial one, run on the calling
+    # thread and tallied in block order, bit for bit as the block-by-block reference
+    monkeypatch.setattr(threading.Thread, "start", _refuse_thread)
+    cfg = fig_config(1e3)
+    mc = McConfig(seed=9, n_samples=3 * BLOCK + 17)
+    n = mc.n_samples
+    count, _, _ = _reference_tally("outage", cfg, D1, mc, 31.0, BPSK)
+    assert mc_outage(cfg, OutageQuery(31.0, D1), mc).mean == count / n
+    _, total, _ = _reference_tally("expectation", cfg, D1, mc, 31.0, BPSK)
+    assert mc_ser_expectation(cfg, D1, BPSK, mc).mean == total / n
+    count, _, _ = _reference_tally("signal", cfg, D1, mc, 31.0, BPSK)
+    assert mc_ser_signal_level(cfg, D1, mc).mean == count / n
+
+
 def test_longer_run_extends_shorter_one():
     # one more sample opens block 1 and leaves block 0 as it was
     cfg = fig_config(1e3)
@@ -174,12 +193,31 @@ def test_sweep_points_equal_per_point_reference(route, n_points, assumed, direct
         assert (est.n_samples, est.seed) == (n, 17)
 
 
+@pytest.mark.parametrize("route", SWEEP_ROUTES)
+def test_sweep_rows_do_not_depend_on_lanes(route, monkeypatch):
+    # 19 points with a partial last block, run on the calling thread: every row
+    # is the estimate its point gets when run alone
+    monkeypatch.setattr(threading.Thread, "start", _refuse_thread)
+    p1 = np.geomspace(1.0, 1e6, 19)
+    powers = (p1, 2.0 * p1, p1 / 2)
+    base = fig_config(1.0, assumed=0.05)
+    mc = McConfig(seed=5, n_samples=BLOCK + 5)
+    query = OutageQuery(5.0, D1)
+    if route == "outage":
+        rows = mc_outage_sweep(base, query, powers, mc)
+        alone = [mc_outage(_point_config(base, powers, k), query, mc) for k in range(19)]
+    elif route == "expectation":
+        rows = mc_ser_expectation_sweep(base, D1, BPSK, powers, mc)
+        alone = [mc_ser_expectation(_point_config(base, powers, k), D1, BPSK, mc) for k in range(19)]
+    else:
+        rows = mc_ser_signal_level_sweep(base, D1, powers, mc)
+        alone = [mc_ser_signal_level(_point_config(base, powers, k), D1, mc) for k in range(19)]
+    assert rows == alone
+
+
 def test_sweeps_start_no_thread(monkeypatch):
     # the blocks run on the calling thread: 19 points, three full blocks and a partial one
-    def refuse(self):
-        raise AssertionError("a Monte-Carlo sweep started a thread")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(threading.Thread, "start", _refuse_thread)
     p1 = np.geomspace(1.0, 1e6, 19)
     powers = (p1, 2.0 * p1, p1 / 2)
     base = fig_config(1.0, assumed=0.05)
