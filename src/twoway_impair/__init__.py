@@ -16,7 +16,6 @@ from .analytic import (
     Modulation,
     OutageQuery,
     QuadratureError,
-    QuadratureSpec,
     invert_impairment_for_op,
     invert_impairment_for_ser,
     outage_asymptotic,

@@ -15,8 +15,9 @@ underflows while the true probability tends to 1.
 Both the outage and the SER are computed for a whole transmit-power sweep at
 once (outage_sweep, ser_sweep): one numpy kernel evaluates the closed form
 for every sweep point, and the SER integral runs an adaptive G10/K21
-Gauss-Kronrod rule over all points together.  outage_probability and ser are
-one-point sweeps.
+Gauss-Kronrod rule over all points together, to the fixed tolerances
+SER_REL_TOL and SER_ABS_TOL.  outage_probability and ser are one-point
+sweeps.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "Modulation",
     "MODULATIONS",
     "OutageQuery",
-    "QuadratureSpec",
     "QuadratureError",
     "InfeasibleTargetError",
     "outage_probability",
@@ -66,7 +66,6 @@ class Modulation:
 
     alpha: float
     beta: float
-    name: str = ""
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
@@ -75,7 +74,7 @@ class Modulation:
 
 
 MODULATIONS = {
-    "bpsk": Modulation(alpha=1.0, beta=1.0, name="bpsk"),
+    "bpsk": Modulation(alpha=1.0, beta=1.0),
 }
 
 
@@ -89,27 +88,6 @@ class OutageQuery:
     def __post_init__(self):
         if not self.x >= 0:
             raise ValueError("outage threshold must be nonnegative")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the SER quadrature.
-
-    A point stops once its error estimate is at most
-    max(abs_tol, rel_tol*|I|), I being the quadrature part of its SER; a
-    bisection that would leave a point with more than max_subdivisions
-    panels (its initial panels included) raises QuadratureError.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
 
 
 def _sweep_powers(powers):
@@ -280,17 +258,18 @@ def _gk21_panels(integrand, row, a, b):
     return kronrod, np.abs(kronrod - half * values[:, 1])
 
 
-def _gk21(integrand, n: int, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+def _gk21(integrand, n: int, edges: np.ndarray) -> np.ndarray:
     """Adaptive G10/K21 quadrature of n integrands over [edges[0], edges[-1]], all at once.
 
     integrand(u, row) evaluates integrand row[k] at the nodes u[k, :].  Every
     point starts from the panels between consecutive `edges`, and each round
     evaluates every new panel of every point in one call.  A point is done
     once the summed embedded error |K21 - G10| of its panels is at most
-    max(abs_tol, rel_tol*|I|); until then each of its panels whose error
-    exceeds its share of that tolerance, in proportion to its width, is
-    bisected.  A point that would need more than max_subdivisions panels
-    raises QuadratureError with the error estimate reached.
+    max(SER_ABS_TOL, SER_REL_TOL*|I|); until then each of its panels whose
+    error exceeds its share of that tolerance, in proportion to its width, is
+    bisected.  A point that would need more than SER_MAX_PANELS panels (its
+    initial panels included) raises QuadratureError with the error estimate
+    reached.
     """
     length = edges[-1] - edges[0]
     row = np.repeat(np.arange(n), len(edges) - 1)
@@ -300,15 +279,15 @@ def _gk21(integrand, n: int, edges: np.ndarray, spec: QuadratureSpec) -> np.ndar
     while True:
         total = np.bincount(row, value, n)
         total_error = np.bincount(row, error, n)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        tol = np.maximum(SER_ABS_TOL, SER_REL_TOL * np.abs(total))
         split = (total_error > tol)[row] & (error * length > tol[row] * (b - a))
         if not split.any():
             return total
         panels = np.bincount(row, minlength=n) + np.bincount(row[split], minlength=n)
-        if np.any(panels > spec.max_subdivisions):
-            k = int(np.argmax(panels > spec.max_subdivisions))
+        if np.any(panels > SER_MAX_PANELS):
+            k = int(np.argmax(panels > SER_MAX_PANELS))
             raise QuadratureError(
-                f"SER quadrature needs more than {spec.max_subdivisions} subintervals at sweep point {k}",
+                f"SER quadrature needs more than {SER_MAX_PANELS} subintervals at sweep point {k}",
                 achieved_error=float(total_error[k]),
             )
         keep = ~split
@@ -324,6 +303,10 @@ def _gk21(integrand, n: int, edges: np.ndarray, spec: QuadratureSpec) -> np.ndar
         error = np.concatenate([error[keep], new_error])
 
 
+# Stopping rule of the SER quadrature (see _gk21).
+SER_REL_TOL = 1e-9
+SER_ABS_TOL = 1e-12
+SER_MAX_PANELS = 200
 # Initial panels of the SER integral below the ceiling: edges at
 # ceiling*(1 - g^-k), k = 0..K-1, then the ceiling; the last of the K panels
 # spans g^-(K-1) of the range.
@@ -335,7 +318,7 @@ _ORIGIN_GRADING = 2.0
 _ORIGIN_PANELS = 8
 
 
-def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation, spec: QuadratureSpec) -> np.ndarray:
+def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation) -> np.ndarray:
     """SER = alpha*sqrt(beta)/(2 sqrt(pi)) * int_0^inf e^{-beta x} x^{-1/2} cdf(x) dx, n points at once.
 
     cdf(x, row) evaluates the CDF of points row[k] at x[k, :].  The
@@ -344,7 +327,8 @@ def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation, spec: QuadratureSpec) 
     the exact tail (alpha/2) * erfc(sqrt(beta/c)), so no quadrature panel
     straddles the kink at x = 1/c.  The initial panels are graded at both
     ends of the range, so that a sweep usually needs no bisection at all.
-    The tolerances of `spec` apply to the quadrature part of the SER.
+    The tolerances SER_REL_TOL and SER_ABS_TOL apply to the quadrature part
+    of the SER.
     """
     alpha, beta = mod.alpha, mod.beta
     scale = alpha * math.sqrt(beta) / math.sqrt(math.pi)
@@ -371,16 +355,10 @@ def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation, spec: QuadratureSpec) 
         x = u * u
         return scale * np.exp(-beta * x) * cdf(x, row)
 
-    return _gk21(integrand, n, edges, spec) + tail
+    return _gk21(integrand, n, edges) + tail
 
 
-def ser_sweep(
-    config: SystemConfig,
-    direction: Direction,
-    mod: Modulation,
-    powers,
-    spec: QuadratureSpec | None = None,
-) -> np.ndarray:
+def ser_sweep(config: SystemConfig, direction: Direction, mod: Modulation, powers) -> np.ndarray:
     """Symbol error rate at every point of a transmit-power sweep, in one quadrature.
 
     `powers` as in outage_sweep; point k equals ser of the config with the
@@ -388,17 +366,12 @@ def ser_sweep(
     """
     c, delta, rows = _closed_form(config, direction, _sweep_powers(powers))
     return _ser_from_cdf(lambda x, row: _outage(x, c, delta, rows[:, row, None]),
-                         rows.shape[1], c, mod, spec or QuadratureSpec())
+                         rows.shape[1], c, mod)
 
 
-def ser(
-    config: SystemConfig,
-    direction: Direction,
-    mod: Modulation,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def ser(config: SystemConfig, direction: Direction, mod: Modulation) -> float:
     """Symbol error rate by numerical integration of the exact outage CDF; a one-point ser_sweep."""
-    return float(ser_sweep(config, direction, mod, _own_powers(config), spec)[0])
+    return float(ser_sweep(config, direction, mod, _own_powers(config))[0])
 
 
 def ser_asymptotic(mod: Modulation, c: float) -> float:
@@ -415,13 +388,7 @@ def ser_asymptotic(mod: Modulation, c: float) -> float:
     return value + 0.5 * mod.alpha * specfun.erfc(math.sqrt(ratio))
 
 
-def ser_floor_quadrature(
-    mod: Modulation,
-    omega_i: float,
-    omega_ri: float,
-    c: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def ser_floor_quadrature(mod: Modulation, omega_i: float, omega_ri: float, c: float) -> float:
     """High-power SER floor for arbitrary channel gains by quadrature.
 
     Applies the CDF-integral SER formula to the asymptotic outage floor.
@@ -430,8 +397,7 @@ def ser_floor_quadrature(
     """
     if not c > 0:
         raise ValueError("SER floor is 0 under ideal hardware; requires c > 0")
-    value = _ser_from_cdf(lambda x, row: outage_asymptotic(omega_i, omega_ri, c, x),
-                          1, c, mod, spec or QuadratureSpec())
+    value = _ser_from_cdf(lambda x, row: outage_asymptotic(omega_i, omega_ri, c, x), 1, c, mod)
     return float(value[0])
 
 

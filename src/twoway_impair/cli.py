@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .analytic import (
 from .model import Direction, ImpairmentPair, SystemConfig
 from .montecarlo import McConfig
 
-__all__ = ["SweepSpec", "ConfigError", "main", "entry"]
+__all__ = ["ConfigError", "main", "entry"]
 
 CSV_SIGNATURE = "# twoway-impair v1"
 DEFAULT_COUPLING = "p2=p1, p3=p1/2"
@@ -61,32 +60,6 @@ _REQUIRED_KEYS = _CONFIG_KEYS[:-1]
 
 class ConfigError(ValueError):
     """Config-file problem; message carries the offending line number."""
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Transmit-power sweep: dBW bounds for p1 plus the p2/p3 coupling rule."""
-
-    p1_dbw_start: float
-    p1_dbw_stop: float
-    n_points: int
-    power_coupling: str = DEFAULT_COUPLING
-
-    def __post_init__(self):
-        for name, dbw in (("start", self.p1_dbw_start), ("stop", self.p1_dbw_stop)):
-            try:
-                watts = dbw_to_watt(dbw)
-            except OverflowError:
-                watts = math.inf
-            if not 0.0 < watts < math.inf:
-                raise ValueError(f"sweep {name} {dbw!r} dBW is not a finite positive power in watts")
-        if not self.p1_dbw_start < self.p1_dbw_stop:
-            raise ValueError("sweep start must be below sweep stop")
-        if self.n_points < 2:
-            raise ValueError("sweep needs at least 2 points")
-
-    def grid_dbw(self) -> np.ndarray:
-        return np.linspace(self.p1_dbw_start, self.p1_dbw_stop, self.n_points)
 
 
 def parse_config(path: str) -> SystemConfig:
@@ -172,9 +145,20 @@ def _fmt(value: float) -> str:
 def _sweep(args):
     """The config, direction, dBW grid and (p1, p2, p3) arrays in watts of a sweep command."""
     base = parse_config(args.config)
-    sweep = SweepSpec(args.p1_dbw[0], args.p1_dbw[1], args.points, args.coupling)
-    m2, m3 = parse_coupling(sweep.power_coupling)
-    grid = [float(dbw) for dbw in sweep.grid_dbw()]
+    start, stop = args.p1_dbw
+    for name, dbw in (("start", start), ("stop", stop)):
+        try:
+            watts = dbw_to_watt(dbw)
+        except OverflowError:
+            watts = math.inf
+        if not 0.0 < watts < math.inf:
+            raise ValueError(f"sweep {name} {dbw!r} dBW is not a finite positive power in watts")
+    if not start < stop:
+        raise ValueError("sweep start must be below sweep stop")
+    if args.points < 2:
+        raise ValueError("sweep needs at least 2 points")
+    m2, m3 = parse_coupling(args.coupling)
+    grid = [float(dbw) for dbw in np.linspace(start, stop, args.points)]
     p1 = np.array([dbw_to_watt(dbw) for dbw in grid])
     return base, Direction(args.direction), grid, (p1, m2 * p1, m3 * p1)
 
@@ -206,7 +190,7 @@ def _resolve_modulation(args) -> Modulation:
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
             raise ValueError("--alpha and --beta must be given together")
-        return Modulation(alpha=args.alpha, beta=args.beta, name="custom")
+        return Modulation(alpha=args.alpha, beta=args.beta)
     if args.modulation not in MODULATIONS:
         raise ValueError(
             f"unknown modulation {args.modulation!r}; known: {', '.join(sorted(MODULATIONS))} "

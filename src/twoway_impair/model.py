@@ -312,8 +312,9 @@ def optimal_split(kappa_tot: float) -> ImpairmentPair:
 def equal_split_kappa(c: float) -> float:
     """Per-side EVM of an even split achieving severity c.
 
-    Inverts c = 2 kappa^2 + kappa^4 to kappa = sqrt(sqrt(1 + c) - 1).
+    Inverts c = 2 kappa^2 + kappa^4 to kappa = sqrt(sqrt(1 + c) - 1),
+    written as sqrt(c / (1 + sqrt(1 + c))) so that small c does not cancel.
     """
     if c < 0:
         raise ValueError("c must be nonnegative")
-    return float(np.sqrt(np.sqrt(1.0 + c) - 1.0))
+    return float(np.sqrt(c / (1.0 + np.sqrt(1.0 + c))))

@@ -2,10 +2,10 @@
 
 Provides the first-order modified Bessel function of the second kind K1 (plain
 and exponentially scaled), the complementary error function, the lower
-incomplete gamma function, and the Gaussian Q-function.  Everything here is
-double precision and pure; target accuracy is 1e-12 relative (1e-10 for the
-incomplete gamma), i.e. at least one order tighter than any quadrature
-tolerance that consumes these kernels.
+incomplete gamma function of order 3/2 (the only order the SER floor needs),
+and the Gaussian Q-function.  Everything here is double precision and pure;
+target accuracy is 1e-12 relative, i.e. at least one order tighter than any
+quadrature tolerance that consumes these kernels.
 
 The K1 kernels take a number or a numpy array and work elementwise, so a
 whole power sweep, or every quadrature node of one, costs one call.  They
@@ -167,21 +167,23 @@ def gaussian_q(x: float) -> float:
 
 
 def lower_incomplete_gamma(p: float, x: float) -> float:
-    """Lower incomplete gamma function gamma(p, x) = int_0^x t^(p-1) e^(-t) dt.
+    """Lower incomplete gamma function gamma(3/2, x) = int_0^x t^(1/2) e^(-t) dt.
 
-    Series branch for x < p + 1, continued fraction (via the upper function)
-    otherwise; accuracy is ~1e-14 relative on the half-integer orders this
-    package uses and best-effort for other p > 0.
+    Serves p = 3/2 only, the order of the SER floor; any other p raises.
+    The power series runs on x < 5/2; from there on the closed form
+    (sqrt(pi)/2) erf(sqrt(x)) - sqrt(x) e^(-x) has no cancellation.  Both
+    are within ~1e-15 relative for every x >= 0.
     """
-    if not p > 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires p > 0, got {p!r}")
+    if p != 1.5:
+        raise ValueError(f"lower_incomplete_gamma serves p = 1.5 only, got p={p!r}")
     if not x >= 0.0:
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
-    if x < p + 1.0:
+    if x < 2.5:
         return _gamma_series(p, x)
-    return math.gamma(p) - _gamma_upper_cf(p, x)
+    root = math.sqrt(x)
+    return 0.5 * math.sqrt(math.pi) * math.erf(root) - root * math.exp(-x)
 
 
 def _gamma_series(p: float, x: float) -> float:
@@ -198,32 +200,3 @@ def _gamma_series(p: float, x: float) -> float:
         if n > 500:
             raise ArithmeticError(f"incomplete gamma series stalled at p={p}, x={x}")
     return total * math.exp(p * math.log(x) - x)
-
-
-def _gamma_upper_cf(p: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(p,x) by modified Lentz continued fraction; x >= p+1."""
-    tiny = 1e-300
-    b = x + 1.0 - p
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - p)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise ArithmeticError(f"incomplete gamma continued fraction stalled at p={p}, x={x}")
-    log_scale = p * math.log(x) - x
-    if log_scale < -745.0:
-        return 0.0
-    return math.exp(log_scale) * h

@@ -13,7 +13,6 @@ from twoway_impair.analytic import (
     Modulation,
     OutageQuery,
     QuadratureError,
-    QuadratureSpec,
     invert_impairment_for_op,
     invert_impairment_for_ser,
     outage_asymptotic,
@@ -286,7 +285,8 @@ def ser_reference(config, direction, mod=BPSK):
 
 def test_ser_meets_its_tolerance_against_independent_reference():
     rng = np.random.default_rng(1983)
-    spec = QuadratureSpec()
+    rel_tol, abs_tol = analytic.SER_REL_TOL, analytic.SER_ABS_TOL
+    assert (rel_tol, abs_tol) == (1e-9, 1e-12)
     cases = []
     for trial in range(24):
         # the last third sits at high power with severe impairments, where
@@ -322,8 +322,8 @@ def test_ser_meets_its_tolerance_against_independent_reference():
                       D1 if trial % 2 == 0 else D2))
     for trial, (cfg, direction) in enumerate(cases):
         ref = ser_reference(cfg, direction)
-        got = ser(cfg, direction, BPSK, spec)
-        assert abs(got - ref) <= max(spec.rel_tol * ref, spec.abs_tol), (trial, got, ref)
+        got = ser(cfg, direction, BPSK)
+        assert abs(got - ref) <= max(rel_tol * ref, abs_tol), (trial, got, ref)
 
 
 def test_ser_sweep_matches_pointwise_calls():
@@ -380,10 +380,12 @@ def test_ser_floor_quadrature_finishes_in_at_most_two_rounds(monkeypatch):
             assert len(calls) <= 2, (c, omega_i, omega_ri, len(calls))
 
 
-def test_quadrature_failure_raises_with_estimate():
+def test_quadrature_failure_raises_with_estimate(monkeypatch):
+    monkeypatch.setattr(analytic, "SER_REL_TOL", 1e-13)
+    monkeypatch.setattr(analytic, "SER_ABS_TOL", 1e-300)
+    monkeypatch.setattr(analytic, "SER_MAX_PANELS", 1)
     with pytest.raises(QuadratureError) as info:
-        ser(fig3_config(100.0), D1, BPSK,
-            QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=1))
+        ser(fig3_config(100.0), D1, BPSK)
     assert info.value.achieved_error > 0.0
 
 
@@ -419,6 +421,12 @@ def test_invert_ser_round_trips():
     assert abs(c2 / 0.04 - 1.0) < 1e-4
     # monotone sandwich around the solution
     assert ser_asymptotic(BPSK, c / 2.0) < SER_FLOOR_0201 < ser_asymptotic(BPSK, 2.0 * c)
+    # targets far below any realistic floor put beta/c up to 1e300, where the
+    # incomplete gamma function of the floor must still converge
+    for target in (1e-20, 1e-40, 1e-150, 1e-300):
+        c = invert_impairment_for_ser(target, BPSK)
+        assert abs(ser_asymptotic(BPSK, c) / target - 1.0) <= 1e-9, target
+        assert model.equal_split_kappa(c) > 0.0, target
     for bad in (0.0, 0.5, 0.7):
         with pytest.raises(InfeasibleTargetError):
             invert_impairment_for_ser(bad, BPSK)

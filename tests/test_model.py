@@ -264,6 +264,13 @@ def test_equal_split_kappa_round_trip():
         kappa = equal_split_kappa(c)
         assert abs(ImpairmentPair(kappa, kappa).c() - c) < 1e-14
     assert equal_split_kappa(0.0) == 0.0
+    # sqrt(sqrt(1 + c) - 1) cancels for small c and is 0 below c ~ 1e-16
+    import mpmath as mp
+
+    with mp.workdps(340):
+        for c in [m * 10.0**e for e in range(-300, 7) for m in (1.0, 2.5, 7.3)]:
+            want = mp.sqrt(mp.sqrt(1 + mp.mpf(c)) - 1)
+            assert abs(equal_split_kappa(c) / want - 1) <= 2.3e-16, c
 
 
 def test_link_params_role_selection():

@@ -164,6 +164,15 @@ def test_lower_incomplete_gamma_points():
     assert rel_err(specfun.lower_incomplete_gamma(1.5, 1.0), LGAMMA32_AT_1) < 1e-13
     # complete-gamma limit
     assert rel_err(specfun.lower_incomplete_gamma(1.5, 200.0), GAMMA_32) < 1e-14
+    # the SER floor evaluates gamma(3/2, beta/c), so a near-ideal relay
+    # (c ~ 1e-18) or a tiny inversion target puts x far beyond 1e17
+    import mpmath as mp
+
+    with mp.workdps(40):
+        grid = [m * 10.0**e for e in range(301) for m in (1.0, 2.5, 7.3)]
+        for x in (x for x in grid if x >= 2.5):
+            want = mp.gammainc(1.5, 0, x)
+            assert abs(specfun.lower_incomplete_gamma(1.5, x) / want - 1) <= 1e-15, x
 
 
 def test_lower_incomplete_gamma_domain_errors():
@@ -173,6 +182,8 @@ def test_lower_incomplete_gamma_domain_errors():
         specfun.lower_incomplete_gamma(-1.0, 1.0)
     with pytest.raises(ValueError):
         specfun.lower_incomplete_gamma(1.5, -1e-9)
+    with pytest.raises(ValueError, match="2.5"):
+        specfun.lower_incomplete_gamma(2.5, 1.0)
 
 
 def test_gamma_recurrence_against_erf_form():
