@@ -12,11 +12,12 @@ against both trees and diff the two outputs:
     diff old.txt new.txt
 
 The matrix covers matched and mismatched relays (kappa3r_assumed below and
-above the true receive EVM), ideal hardware, equal and unequal average
+above the true receive EVM), ideal hardware, a near-ideal relay (EVM 1e-9,
+whose SER floor needs gamma(3/2, x) at x ~ 5e17), equal and unequal average
 channel gains, both directions, every curve command with both Monte-Carlo
 routes, `--alpha/--beta`, a custom coupling, `validate`, sample counts that
-leave a partial 4096-sample block, sweeps of more than 16 points, and the
-sweep-flag usage errors.
+leave a partial 4096-sample block, sweeps of more than 16 points, the
+sweep-flag usage errors, and an SER inversion at a 1e-20 target.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ CONFIGS = {
     "assumed_high.cfg": {"kappa3r_assumed": "0.3"},
     "ideal.cfg": {"kappa3t": "0", "kappa3r": "0"},
     "equal_gains.cfg": {"omega1": "1", "omega2": "1", "kappa3t": "0.05", "kappa3r": "0.15"},
+    "near_ideal.cfg": {"omega1": "1", "omega2": "1", "kappa3t": "1e-9", "kappa3r": "1e-9"},
 }
 COUPLING = "p2=p1*2, p3=p1/3"
 
@@ -82,6 +84,7 @@ def matrix() -> list[list[str]]:
         ["op-curve", *sweep, "--p1-dbw", "-4000", "0"],
         ["invert", "op", "--target", "1e-3", "--x", "3", "--omega-i", "2"],
         ["invert", "ser", "--target", "1e-3", "--modulation", "bpsk"],
+        ["invert", "ser", "--target", "1e-20"],
     ]
     return commands
 
