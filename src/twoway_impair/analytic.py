@@ -156,8 +156,10 @@ def _outage(x, c: float, delta: float, rows: np.ndarray) -> np.ndarray:
         arg = 2.0 * np.sqrt(num * dfac)
         live = (x > 0.0) & (x < ceiling) & np.isfinite(arg) & np.isfinite(exponent)
         arg = np.where(live, arg, 1.0)
-        # arg * K1(arg) <= 1, written via the scaled Bessel so the log is exact
-        log_term = np.log(arg * specfun.bessel_k1_scaled(arg) / dfac)
+        # arg * K1(arg) <= 1, written via the scaled Bessel so the log is exact;
+        # where num underflows, arg is 0 and arg * K1(arg) takes its limit 1
+        zk1 = np.where(arg > 0.0, arg * specfun.bessel_k1_scaled(np.where(arg > 0.0, arg, 1.0)), 1.0)
+        log_term = np.log(zk1 / dfac)
         prob = np.where(live, -np.expm1(-exponent - arg + log_term), np.where(x > 0.0, 1.0, 0.0))
     if np.any(prob < -1e-12):
         raise ArithmeticError(f"outage probability clamp exceeded tolerance: {float(prob.min())!r}")
@@ -384,6 +386,9 @@ def ser_asymptotic(mod: Modulation, c: float) -> float:
     if not c > 0:
         raise ValueError("SER floor is 0 under ideal hardware; requires c > 0")
     ratio = mod.beta / c
+    if math.isinf(ratio):
+        # the limit of the floor as beta/c grows: gamma(3/2, inf) = sqrt(pi)/2, erfc(inf) = 0
+        return mod.alpha * c / (4.0 * mod.beta)
     value = (mod.alpha * c / (2.0 * mod.beta * math.sqrt(math.pi))) * specfun.lower_incomplete_gamma(1.5, ratio)
     return value + 0.5 * mod.alpha * specfun.erfc(math.sqrt(ratio))
 
@@ -423,6 +428,8 @@ def invert_impairment_for_op(
     if denom <= 0:
         raise InfeasibleTargetError("no finite impairment bound for these parameters")
     c = target_op * omega_ri / denom
+    if not math.isfinite(c):
+        raise InfeasibleTargetError(f"the impairment bound overflows at threshold x = {x!r}; raise x")
     check = outage_asymptotic(omega_i, omega_ri, c, x)
     if abs(check - target_op) > 1e-12 * max(target_op, 1.0):
         raise ArithmeticError(

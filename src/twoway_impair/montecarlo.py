@@ -14,11 +14,14 @@ one with the same seed.
 
 The estimators work on whole transmit-power sweeps (mc_outage_sweep,
 mc_ser_expectation_sweep, mc_ser_signal_level_sweep), as the analytic layer
-does.  No draw depends on the powers, so each block is drawn once and every
-sweep point, a SystemConfig with that point's powers, is tallied on it in
-turn (common random numbers): point k of a sweep equals the one-point
-estimate at its powers, bit for bit.  mc_outage, mc_ser_expectation and
-mc_ser_signal_level are one-point sweeps.
+does, through one block loop.  No draw depends on the powers, so each block
+draws its power-free variables once (channel gains, or the unit variables
+of the signal chain) and every sweep point, a SystemConfig with that
+point's powers, is tallied on them in turn (common random numbers): point k
+of a sweep equals the one-point estimate at its powers, bit for bit.  The
+signal chain is written once: simulate_signal_chain evaluates it at its
+config, the signal-level sweep at every point.  mc_outage,
+mc_ser_expectation and mc_ser_signal_level are one-point sweeps.
 """
 
 from __future__ import annotations
@@ -153,32 +156,28 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
     return low, high
 
 
-def _run_blocks(mc: McConfig, worker):
-    """Sum worker(rng, count) over the blocks, in block order, on the calling thread."""
-    totals = 0
-    for block in range(-(-mc.n_samples // BLOCK)):
-        totals = totals + worker(chunk_rng(mc.seed, block), min(BLOCK, mc.n_samples - block * BLOCK))
-    return totals
-
-
 def _sweep_points(config: SystemConfig, powers) -> list[SystemConfig]:
     """The points of a power sweep, each the config with that point's checked powers."""
     return [replace(config, p1=float(p1), p2=float(p2), p3=float(p3))
             for p1, p2, p3 in zip(*_sweep_powers(powers))]
 
 
-def _fading_sweep(config: SystemConfig, direction: Direction, powers, mc: McConfig, statistic):
-    """Per sweep point, statistic(SNDR of a block's draws at that point) summed in block order.
+def _block_sums(mc: McConfig, points, draw, tally) -> np.ndarray:
+    """Per point, tally(point, draws) summed over the blocks in block order.
 
-    Each block's channel gains are drawn once and shared by every point.
+    draw(rng, count) makes a block's power-free variables once, on the
+    block's stream and the calling thread; every point is tallied on them.
     """
-    points = _sweep_points(config, powers)
+    totals = 0
+    for block in range(-(-mc.n_samples // BLOCK)):
+        draws = draw(chunk_rng(mc.seed, block), min(BLOCK, mc.n_samples - block * BLOCK))
+        totals = totals + np.array([tally(point, draws) for point in points])
+    return totals
 
-    def worker(rng, count):
-        rho1, rho2 = sample_channel_gains(rng, config.omega1, config.omega2, count)
-        return np.array([statistic(sndr(point, direction, rho1, rho2)) for point in points])
 
-    return _run_blocks(mc, worker)
+def _gains(omega1: float, omega2: float):
+    """The draw of the fading routes: a block's squared channel magnitudes."""
+    return lambda rng, count: sample_channel_gains(rng, omega1, omega2, count)
 
 
 def _proportion_estimate(successes: int, mc: McConfig) -> McEstimate:
@@ -203,8 +202,11 @@ def mc_outage_sweep(config: SystemConfig, query: OutageQuery, powers, mc: McConf
     """
     if query.x < 0:
         raise ValueError("outage threshold must be nonnegative")
-    counts = _fading_sweep(config, query.direction, powers, mc,
-                           lambda values: np.count_nonzero(values <= query.x))
+
+    def outages(point, gains):
+        return np.count_nonzero(sndr(point, query.direction, *gains) <= query.x)
+
+    counts = _block_sums(mc, _sweep_points(config, powers), _gains(config.omega1, config.omega2), outages)
     return [_proportion_estimate(int(successes), mc) for successes in counts]
 
 
@@ -244,13 +246,13 @@ def mc_ser_expectation_sweep(
     # Imported here, its only use, so that importing the package loads no scipy.
     from scipy.special import erfc as _erfc_vec
 
-    def sums(values):
+    def sums(point, gains):
         # Q(sqrt(2*beta*s)) = erfc(sqrt(beta*s))/2
-        per_sample = mod.alpha * 0.5 * _erfc_vec(np.sqrt(mod.beta * values))
+        per_sample = mod.alpha * 0.5 * _erfc_vec(np.sqrt(mod.beta * sndr(point, direction, *gains)))
         return per_sample.sum(), np.square(per_sample).sum()
 
-    return [_mean_estimate(float(total), float(total_sq), mod.alpha, mc)
-            for total, total_sq in _fading_sweep(config, direction, powers, mc, sums)]
+    totals = _block_sums(mc, _sweep_points(config, powers), _gains(config.omega1, config.omega2), sums)
+    return [_mean_estimate(float(total), float(total_sq), mod.alpha, mc) for total, total_sq in totals]
 
 
 def mc_ser_expectation(config: SystemConfig, direction: Direction, mod: Modulation, mc: McConfig) -> McEstimate:
@@ -263,12 +265,52 @@ def _cnormal(rng: np.random.Generator, count: int) -> np.ndarray:
     return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * np.sqrt(0.5)
 
 
+def _signal_chain(rng: np.random.Generator, config: SystemConfig, direction: Direction, count: int):
+    """Draw a block of the chain's power-free variables and return the chain over them.
+
+    The draws come in the stream's order: the two channels, the two symbol
+    signs, the relay noise, unit receive- and transmit-distortion samples,
+    then the receiving terminal's noise.  The returned chain(point) maps the
+    powers of `point`, a config that differs from `config` at most in p1, p2
+    and p3, to its SignalRealization; what does not depend on the powers is
+    computed here, once.
+    """
+    h1 = np.sqrt(config.omega1) * _cnormal(rng, count)
+    h2 = np.sqrt(config.omega2) * _cnormal(rng, count)
+    rho1 = np.abs(h1) ** 2
+    rho2 = np.abs(h2) ** 2
+    sign1 = 2.0 * rng.integers(0, 2, count) - 1.0
+    sign2 = 2.0 * rng.integers(0, 2, count) - 1.0
+    nu3 = np.sqrt(config.n3) * _cnormal(rng, count)
+    unit_3r = _cnormal(rng, count)
+    unit_3t = _cnormal(rng, count)
+    nu_i = np.sqrt(config.n1 if direction.i == 1 else config.n2) * _cnormal(rng, count)
+    h_i = h1 if direction.i == 1 else h2
+    h_i2 = h_i**2
+
+    def chain(point: SystemConfig) -> SignalRealization:
+        s1 = np.sqrt(point.p1) * sign1
+        s2 = np.sqrt(point.p2) * sign2
+        eta_3r = np.sqrt(point.kappa_r**2 * (rho1 * point.p1 + rho2 * point.p2)) * unit_3r
+        y3 = h1 * s1 + h2 * s2 + eta_3r + nu3
+        eta_3t = np.sqrt(point.kappa_t**2 * point.p3) * unit_3t
+        gain = relaying_gain(point, rho1, rho2)
+        y_i = h_i * (gain * y3 + eta_3t) + nu_i - gain * h_i2 * (s1 if direction.i == 1 else s2)
+        return SignalRealization(
+            h1=h1, h2=h2, s1=s1, s2=s2,
+            eta_3r=eta_3r, eta_3t=eta_3t,
+            nu_i=nu_i, nu3=nu3,
+            y3=y3, y_i=y_i, gain=gain,
+        )
+
+    return chain
+
+
 def simulate_signal_chain(
     rng: np.random.Generator,
     config: SystemConfig,
     direction: Direction,
     count: int,
-    fixed_channels=None,
 ) -> SignalRealization:
     """Simulate the two-slot relaying chain with BPSK symbols.
 
@@ -276,44 +318,11 @@ def simulate_signal_chain(
     channels and adds receive-side distortion proportional to the incident
     power.  Second slot: the relay scales by the variable gain, adds
     transmit-side distortion, and broadcasts; the receiving terminal cancels
-    the echo of its own symbol exactly.  `fixed_channels=(h1, h2)` freezes
-    the channels (used to check the conditional distortion variance).  The
-    reference for mc_ser_signal_level_sweep, which draws the same numbers.
+    the echo of its own symbol exactly.  The same chain that
+    mc_ser_signal_level_sweep evaluates at every sweep point, here at the
+    config's own powers.
     """
-    if fixed_channels is None:
-        h1 = np.sqrt(config.omega1) * _cnormal(rng, count)
-        h2 = np.sqrt(config.omega2) * _cnormal(rng, count)
-    else:
-        h1 = np.full(count, fixed_channels[0], dtype=complex)
-        h2 = np.full(count, fixed_channels[1], dtype=complex)
-    rho1 = np.abs(h1) ** 2
-    rho2 = np.abs(h2) ** 2
-
-    s1 = np.sqrt(config.p1) * (2.0 * rng.integers(0, 2, count) - 1.0)
-    s2 = np.sqrt(config.p2) * (2.0 * rng.integers(0, 2, count) - 1.0)
-
-    nu3 = np.sqrt(config.n3) * _cnormal(rng, count)
-    eta_3r_var = config.kappa_r**2 * (rho1 * config.p1 + rho2 * config.p2)
-    eta_3r = np.sqrt(eta_3r_var) * _cnormal(rng, count)
-    y3 = h1 * s1 + h2 * s2 + eta_3r + nu3
-
-    eta_3t = np.sqrt(config.kappa_t**2 * config.p3) * _cnormal(rng, count)
-    if direction.i == 1:
-        h_i, s_i, n_i = h1, s1, config.n1
-    else:
-        h_i, s_i, n_i = h2, s2, config.n2
-    nu_i = np.sqrt(n_i) * _cnormal(rng, count)
-
-    gain = relaying_gain(config, rho1, rho2)
-    received = h_i * (gain * y3 + eta_3t) + nu_i
-    y_i = received - gain * h_i**2 * s_i
-
-    return SignalRealization(
-        h1=h1, h2=h2, s1=s1, s2=s2,
-        eta_3r=eta_3r, eta_3t=eta_3t,
-        nu_i=nu_i, nu3=nu3,
-        y3=y3, y_i=y_i, gain=gain,
-    )
+    return _signal_chain(rng, config, direction, count)(config)
 
 
 def mc_ser_signal_level_sweep(config: SystemConfig, direction: Direction, powers, mc: McConfig) -> list[McEstimate]:
@@ -322,47 +331,20 @@ def mc_ser_signal_level_sweep(config: SystemConfig, direction: Direction, powers
     Coherent maximum-likelihood threshold detection against the known
     composite coefficient G*h1*h2, with G normalized by the relay's assumed
     receive EVM; the chain is simulated, not analyzed.  Each block draws the
-    unit variables of simulate_signal_chain once, in its order, and scales
-    them per point in its arithmetic order, so point k equals
-    mc_ser_signal_level of the config with the powers of point k, bit for
-    bit.  `powers` as in mc_outage_sweep.
+    chain's power-free variables once and every point evaluates the chain
+    of simulate_signal_chain on them, so point k equals mc_ser_signal_level
+    of the config with the powers of point k, bit for bit.  `powers` as in
+    mc_outage_sweep.
     """
-    points = _sweep_points(config, powers)
-    kr2 = config.kappa_r**2
-    kt2 = config.kappa_t**2
-    n_i = config.n1 if direction.i == 1 else config.n2
 
-    def worker(rng, count):
-        # power-free: the unit draws in simulate_signal_chain's order, built once
-        h1 = np.sqrt(config.omega1) * _cnormal(rng, count)
-        h2 = np.sqrt(config.omega2) * _cnormal(rng, count)
-        rho1 = np.abs(h1) ** 2
-        rho2 = np.abs(h2) ** 2
-        sign1 = 2.0 * rng.integers(0, 2, count) - 1.0
-        sign2 = 2.0 * rng.integers(0, 2, count) - 1.0
-        nu3 = np.sqrt(config.n3) * _cnormal(rng, count)
-        unit_3r = _cnormal(rng, count)
-        unit_3t = _cnormal(rng, count)
-        nu_i = np.sqrt(n_i) * _cnormal(rng, count)
-        h_i = h1 if direction.i == 1 else h2
-        h_i2 = h_i**2
-        sent = (sign1 if direction.r_i == 1 else sign2) > 0
+    def errors(point, chain):
+        sim = chain(point)
+        stat = np.real(sim.y_i * np.conj(sim.gain * sim.h1 * sim.h2))
+        return np.count_nonzero((stat > 0) != ((sim.s1 if direction.r_i == 1 else sim.s2) > 0))
 
-        def errors(point):
-            # simulate_signal_chain's arithmetic, in its order
-            s1 = np.sqrt(point.p1) * sign1
-            s2 = np.sqrt(point.p2) * sign2
-            eta_3r = np.sqrt(kr2 * (rho1 * point.p1 + rho2 * point.p2)) * unit_3r
-            y3 = h1 * s1 + h2 * s2 + eta_3r + nu3
-            eta_3t = np.sqrt(kt2 * point.p3) * unit_3t
-            gain = relaying_gain(point, rho1, rho2)
-            y_i = h_i * (gain * y3 + eta_3t) + nu_i - gain * h_i2 * (s1 if direction.i == 1 else s2)
-            stat = np.real(y_i * np.conj(gain * h1 * h2))
-            return np.count_nonzero((stat > 0) != sent)
-
-        return np.array([errors(point) for point in points])
-
-    return [_proportion_estimate(int(errors), mc) for errors in _run_blocks(mc, worker)]
+    counts = _block_sums(mc, _sweep_points(config, powers),
+                         lambda rng, count: _signal_chain(rng, config, direction, count), errors)
+    return [_proportion_estimate(int(successes), mc) for successes in counts]
 
 
 def mc_ser_signal_level(config: SystemConfig, direction: Direction, mc: McConfig) -> McEstimate:
@@ -384,8 +366,6 @@ def mc_outage_asymptotic(
     if not x > 0:
         raise ValueError("threshold must be strictly positive")
 
-    def worker(rng, count):
-        rho1, rho2 = sample_channel_gains(rng, omega1, omega2, count)
-        return np.count_nonzero(sndr_asymptotic(direction, rho1, rho2, c) <= x)
-
-    return _proportion_estimate(int(_run_blocks(mc, worker)), mc)
+    (count,) = _block_sums(mc, [x], _gains(omega1, omega2),
+                           lambda x, gains: np.count_nonzero(sndr_asymptotic(direction, *gains, c) <= x))
+    return _proportion_estimate(int(count), mc)

@@ -412,6 +412,9 @@ def test_invert_op_rejects_out_of_range():
     for bad in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(InfeasibleTargetError):
             invert_impairment_for_op(bad, 10.0, 1.0, 1.0)
+    # a threshold so small that the bound c overflows to inf
+    with pytest.raises(InfeasibleTargetError, match="x = 1e-320"):
+        invert_impairment_for_op(0.5, 1e-320, 1.0, 1.0)
 
 
 def test_invert_ser_round_trips():
@@ -422,8 +425,9 @@ def test_invert_ser_round_trips():
     # monotone sandwich around the solution
     assert ser_asymptotic(BPSK, c / 2.0) < SER_FLOOR_0201 < ser_asymptotic(BPSK, 2.0 * c)
     # targets far below any realistic floor put beta/c up to 1e300, where the
-    # incomplete gamma function of the floor must still converge
-    for target in (1e-20, 1e-40, 1e-150, 1e-300):
+    # incomplete gamma function of the floor must still converge, and past
+    # it, where beta/c overflows and the floor takes its limit alpha*c/(4*beta)
+    for target in (1e-20, 1e-40, 1e-150, 1e-300, 1e-310):
         c = invert_impairment_for_ser(target, BPSK)
         assert abs(ser_asymptotic(BPSK, c) / target - 1.0) <= 1e-9, target
         assert model.equal_split_kappa(c) > 0.0, target

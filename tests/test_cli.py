@@ -241,6 +241,16 @@ def test_ser_curve_with_mc_columns(tmp_path):
         assert 0.0 <= float(row[4]) <= float(row[3]) <= float(row[5]) <= 1.0
 
 
+@pytest.mark.parametrize("x, start, stop", [("1e-320", "0", "40"), ("1e-25", "1400", "1500")])
+def test_op_curve_where_the_bessel_argument_underflows(tmp_path, x, start, stop):
+    # the Bessel argument underflows to 0, where arg*K1(arg) takes its limit 1
+    out = tmp_path / "op.csv"
+    assert run_cli(["op-curve", "--config", cfg_with(tmp_path), "--x", x, "--p1-dbw", start, stop,
+                    "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert all(0.0 <= float(row[1]) <= 2.3e-16 for row in rows)
+
+
 def test_invert_op_report(capsys):
     assert run_cli(["invert", "op", "--target", "0.201", "--x", "10"]) == 0
     line = capsys.readouterr().out.strip()
@@ -262,6 +272,7 @@ def test_invert_infeasible_targets():
     assert run_cli(["invert", "op", "--target", "1.0", "--x", "10"]) == 2
     assert run_cli(["invert", "op", "--target", "0.5"]) == 2  # missing --x
     assert run_cli(["invert", "ser", "--target", "0.6"]) == 2
+    assert run_cli(["invert", "op", "--target", "0.5", "--x", "1e-320"]) == 2  # c overflows
 
 
 @pytest.mark.parametrize("argv,name", [

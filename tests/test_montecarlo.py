@@ -326,14 +326,17 @@ def test_gain_mismatch_overestimate_degrades_ser():
 
 
 def test_distortion_variance_tracks_incident_power():
+    # |eta_3r|^2 over its conditional variance has mean 1 in every band of
+    # incident power, here the lowest and the highest quarter of the draws
     cfg = fig_config(100.0, 0.1, 0.2, omega1=1.0, omega2=1.0)
-    h1, h2 = 0.9 + 0.3j, -0.4 + 1.1j
-    sim = simulate_signal_chain(chunk_rng(5, 0), cfg, D1, 10**5, fixed_channels=(h1, h2))
-    rho1, rho2 = abs(h1) ** 2, abs(h2) ** 2
-    expected = cfg.kappa_r**2 * (rho1 * cfg.p1 + rho2 * cfg.p2)
-    empirical = float(np.mean(np.abs(sim.eta_3r) ** 2))
-    assert abs(empirical / expected - 1.0) <= 0.05
-    assert np.array_equal(sim.gain, np.full(10**5, relaying_gain(cfg, rho1, rho2)))
+    sim = simulate_signal_chain(chunk_rng(5, 0), cfg, D1, 10**5)
+    rho1, rho2 = np.abs(sim.h1) ** 2, np.abs(sim.h2) ** 2
+    incident = rho1 * cfg.p1 + rho2 * cfg.p2
+    ratio = np.abs(sim.eta_3r) ** 2 / (cfg.kappa_r**2 * incident)
+    low, high = np.quantile(incident, (0.25, 0.75))
+    for band in (incident <= low, incident >= high):
+        assert abs(float(np.mean(ratio[band])) - 1.0) <= 0.02
+    assert np.array_equal(sim.gain, relaying_gain(cfg, rho1, rho2))
 
 
 def test_mc_outage_asymptotic_symmetric_half():
