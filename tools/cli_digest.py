@@ -17,7 +17,9 @@ whose SER floor needs gamma(3/2, x) at x ~ 5e17), equal and unequal average
 channel gains, both directions, every curve command with both Monte-Carlo
 routes, `--alpha/--beta`, a custom coupling, `validate`, sample counts that
 leave a partial 4096-sample block, sweeps of more than 16 points, the
-sweep-flag usage errors, and an SER inversion at a 1e-20 target.
+sweep-flag usage errors, SER inversions at 1e-20 and at a subnormal target,
+an outage inversion whose bound overflows, and outage curves whose Bessel
+argument underflows to 0.
 """
 
 from __future__ import annotations
@@ -85,6 +87,11 @@ def matrix() -> list[list[str]]:
         ["invert", "op", "--target", "1e-3", "--x", "3", "--omega-i", "2"],
         ["invert", "ser", "--target", "1e-3", "--modulation", "bpsk"],
         ["invert", "ser", "--target", "1e-20"],
+        # appended last, so that the lines of an older matrix stay a prefix
+        ["invert", "op", "--target", "0.5", "--x", "1e-320"],
+        ["invert", "ser", "--target", "1e-310"],
+        ["op-curve", "--config", "matched.cfg", "--x", "1e-320", "--p1-dbw", "0", "40"],
+        ["op-curve", "--config", "matched.cfg", "--x", "1e-25", "--p1-dbw", "1400", "1500"],
     ]
     return commands
 
