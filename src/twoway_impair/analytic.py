@@ -14,10 +14,10 @@ underflows while the true probability tends to 1.
 
 Both the outage and the SER are computed for a whole transmit-power sweep at
 once (outage_sweep, ser_sweep): one numpy kernel evaluates the closed form
-for every sweep point, and the SER integral runs an adaptive G10/K21
-Gauss-Kronrod rule over all points together, to the fixed tolerances
-SER_REL_TOL and SER_ABS_TOL.  outage_probability and ser are one-point
-sweeps.
+for every sweep point, and the SER integral runs one tanh-sinh rule over all
+points together, halving its step for the points still over the fixed
+tolerances SER_REL_TOL and SER_ABS_TOL.  outage_probability and ser are
+one-point sweeps.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def outage_asymptotic(omega_i: float, omega_ri: float, c: float, x):
     1 at or above it, and 0 under ideal hardware where the outage vanishes
     asymptotically.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0: no floor of -0
     if not np.all(x >= 0):
         raise ValueError("outage threshold must be nonnegative")
     if not (omega_i > 0 and omega_ri > 0):
@@ -212,152 +212,96 @@ def outage_asymptotic(omega_i: float, omega_ri: float, c: float, x):
     return floor[()]
 
 
-# Gauss-Kronrod pair on [-1, 1] (QUADPACK qk21; Piessens et al. 1983): the 11
-# nonnegative Kronrod abscissae in decreasing order and their weights, then
-# the weights of the 10-point Gauss rule at the odd-indexed abscissae.
-_XGK = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-)
-_WGK = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208643474262, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_WG = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-
-
-def _symmetric(half) -> np.ndarray:
-    """Values at the 21 nodes from those at the 11 nonnegative ones (decreasing order)."""
-    half = np.asarray(half)
-    return np.concatenate([half[:-1], half[::-1]])
-
-
-_GK_NODES = _symmetric(_XGK) * np.repeat([-1.0, 1.0], [10, 11])
-_GAUSS_HALF = np.zeros(11)
-_GAUSS_HALF[1::2] = _WG
-# Columns: Kronrod weights, Gauss weights (zero at the Kronrod-only nodes).
-_GK_WEIGHTS = np.stack([_symmetric(_WGK), _symmetric(_GAUSS_HALF)], axis=1)
-
-
-def _gk21_panels(integrand, row, a, b):
-    """K21 value and |K21 - G10| on the panels [a, b] of the integrands `row`."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    values = integrand(center[:, None] + half[:, None] * _GK_NODES, row) @ _GK_WEIGHTS
-    kronrod = half * values[:, 0]
-    return kronrod, np.abs(kronrod - half * values[:, 1])
-
-
-def _gk21(integrand, n: int, edges: np.ndarray) -> np.ndarray:
-    """Adaptive G10/K21 quadrature of n integrands over [edges[0], edges[-1]], all at once.
-
-    integrand(u, row) evaluates integrand row[k] at the nodes u[k, :].  Every
-    point starts from the panels between consecutive `edges`, and each round
-    evaluates every new panel of every point in one call.  A point is done
-    once the summed embedded error |K21 - G10| of its panels is at most
-    max(SER_ABS_TOL, SER_REL_TOL*|I|); until then each of its panels whose
-    error exceeds its share of that tolerance, in proportion to its width, is
-    bisected.  A point that would need more than SER_MAX_PANELS panels (its
-    initial panels included) raises QuadratureError with the error estimate
-    reached.
-    """
-    length = edges[-1] - edges[0]
-    row = np.repeat(np.arange(n), len(edges) - 1)
-    a = np.tile(edges[:-1], n)
-    b = np.tile(edges[1:], n)
-    value, error = _gk21_panels(integrand, row, a, b)
-    while True:
-        total = np.bincount(row, value, n)
-        total_error = np.bincount(row, error, n)
-        tol = np.maximum(SER_ABS_TOL, SER_REL_TOL * np.abs(total))
-        split = (total_error > tol)[row] & (error * length > tol[row] * (b - a))
-        if not split.any():
-            return total
-        panels = np.bincount(row, minlength=n) + np.bincount(row[split], minlength=n)
-        if np.any(panels > SER_MAX_PANELS):
-            k = int(np.argmax(panels > SER_MAX_PANELS))
-            raise QuadratureError(
-                f"SER quadrature needs more than {SER_MAX_PANELS} subintervals at sweep point {k}",
-                achieved_error=float(total_error[k]),
-            )
-        keep = ~split
-        mid = 0.5 * (a[split] + b[split])
-        new_row = np.concatenate([row[split], row[split]])
-        new_a = np.concatenate([a[split], mid])
-        new_b = np.concatenate([mid, b[split]])
-        new_value, new_error = _gk21_panels(integrand, new_row, new_a, new_b)
-        row = np.concatenate([row[keep], new_row])
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        value = np.concatenate([value[keep], new_value])
-        error = np.concatenate([error[keep], new_error])
-
-
-# Stopping rule of the SER quadrature (see _gk21).
+# Stopping rule of the SER quadrature (see _tanh_sinh).
 SER_REL_TOL = 1e-9
 SER_ABS_TOL = 1e-12
-SER_MAX_PANELS = 200
-# Initial panels of the SER integral below the ceiling: edges at
-# ceiling*(1 - g^-k), k = 0..K-1, then the ceiling; the last of the K panels
-# spans g^-(K-1) of the range.
-_CEILING_GRADING = 4.0
-_CEILING_PANELS = 10
-# The first initial panel [0, e1] is split at e1*g^-k, k = K..1, so the
-# innermost panel spans g^-K of it.
-_ORIGIN_GRADING = 2.0
-_ORIGIN_PANELS = 8
+# Step halvings past h = 1/32 before a point still over its tolerance raises.
+_MAX_HALVINGS = 6
+# The rule takes its nodes at t = k*h for |t| <= _T_MAX; the two ends it
+# leaves out hold under 3e-23 of the range.
+_T_MAX = 3.5
+
+
+def _tanh_sinh_nodes(h: float, odd: bool = False):
+    """Nodes and weights of the tanh-sinh rule on [0, 1] at step h (all k, or odd k only).
+
+    Node 1/(1 + e^(-pi sinh t)) and weight h*pi*cosh(t)*e/(1+e)^2 at t = k*h,
+    with e = e^(-pi |sinh t|), so that nodes near 0 keep their full relative
+    precision.
+    """
+    k = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
+    t = k[k % 2 == 1] * h if odd else k * h
+    e = np.exp(-math.pi * np.abs(np.sinh(t)))
+    node = np.where(t < 0.0, e, 1.0) / (1.0 + e)
+    return node, h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+
+
+def _tanh_sinh(integrand, n: int, b: float) -> np.ndarray:
+    """Tanh-sinh quadrature (Takahasi & Mori 1974) of n integrands over [0, b], all at once.
+
+    integrand(u, row) evaluates the integrands row[k] at the nodes u, one
+    row of values each.  The rule packs its nodes double-exponentially close
+    to both ends of the range.  One call at h = 1/32 gives every value; the
+    rule at h = 1/16, on every other of its nodes, gives the error estimate
+    |I(1/32) - I(1/16)|.  A point is done once that change is at most
+    max(SER_ABS_TOL, SER_REL_TOL*|I|); until then each halving of h
+    evaluates only the new nodes, and only for the points still open.  A
+    point still open after _MAX_HALVINGS halvings raises QuadratureError with
+    its last change.
+    """
+    rows = np.arange(n)
+    h = 1.0 / 32.0
+    node, weight = _tanh_sinh_nodes(h)
+    values = np.broadcast_to(integrand(b * node, rows), (n, node.size))
+    total = b * (values @ weight)
+    change = np.abs(total - 2.0 * b * (values[:, ::2] @ weight[::2]))
+    for halving in range(_MAX_HALVINGS + 1):
+        rows = rows[change[rows] > np.maximum(SER_ABS_TOL, SER_REL_TOL * np.abs(total[rows]))]
+        if not rows.size:
+            return total
+        if halving == _MAX_HALVINGS:
+            raise QuadratureError(
+                f"SER quadrature still over its tolerance after {_MAX_HALVINGS} step halvings "
+                f"at sweep point {rows[0]}",
+                achieved_error=float(change[rows[0]]),
+            )
+        h *= 0.5
+        node, weight = _tanh_sinh_nodes(h, odd=True)
+        refined = 0.5 * total[rows] + b * (integrand(b * node, rows) @ weight)
+        change[rows] = np.abs(refined - total[rows])
+        total[rows] = refined
 
 
 def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation) -> np.ndarray:
     """SER = alpha*sqrt(beta)/(2 sqrt(pi)) * int_0^inf e^{-beta x} x^{-1/2} cdf(x) dx, n points at once.
 
-    cdf(x, row) evaluates the CDF of points row[k] at x[k, :].  The
+    cdf(x, row) evaluates the CDFs of points row[k] at x, one row each.  The
     substitution x = u^2 removes the inverse-square-root singularity; the
     region beyond the ceiling, where the CDF is identically 1, integrates to
-    the exact tail (alpha/2) * erfc(sqrt(beta/c)), so no quadrature panel
-    straddles the kink at x = 1/c.  The initial panels are graded at both
-    ends of the range, so that a sweep usually needs no bisection at all.
+    the exact tail (alpha/2) * erfc(sqrt(beta/c)), so the quadrature range
+    [0, b] ends at the kink u = 1/sqrt(c), or earlier at sqrt(max(50/beta,
+    50)), past which e^{-beta u^2} leaves nothing to integrate.  The two hard
+    parts of the integrand sit at the ends of that range: the CDF's x*ln(x)
+    term at 0 (z*K1(z) = 1 + (z^2/2)(ln(z/2) + gamma - 1/2) + O(z^4 ln z),
+    DLMF 10.31.1, with z^2 proportional to x), and at high power the thin
+    layer below the ceiling where the CDF climbs to 1; the tanh-sinh rule
+    crowds its nodes into both.
     The tolerances SER_REL_TOL and SER_ABS_TOL apply to the quadrature part
     of the SER.
     """
     alpha, beta = mod.alpha, mod.beta
     scale = alpha * math.sqrt(beta) / math.sqrt(math.pi)
-    u_cap = math.sqrt(max(50.0 / beta, 50.0))
+    b = math.sqrt(max(50.0 / beta, 50.0))
     tail = 0.0
-    edges = np.array([0.0, u_cap])
     if c > 0:
         tail = 0.5 * alpha * specfun.erfc(math.sqrt(beta / c))
-        ceiling = math.sqrt(1.0 / c)
-        if ceiling < u_cap:
-            # At high power the exact CDF climbs to 1 in a layer below the
-            # ceiling whose width shrinks like p^(-1/2); a single panel's
-            # nodes can miss it, so the first panels are graded towards it.
-            edges = np.append(ceiling * (1.0 - _CEILING_GRADING ** -np.arange(_CEILING_PANELS)), ceiling)
-    # Near x = 0 the CDF has an x*ln(x) term (z*K1(z) = 1 + (z^2/2)(ln(z/2) +
-    # gamma - 1/2) + O(z^4 ln z), DLMF 10.31.1, with z^2 proportional to x),
-    # which is u^2*ln(u) in u and converges slowly on a panel that touches 0;
-    # bisection would halve that panel once per round, so the first panel is
-    # graded towards 0 up front.
-    origin = edges[1] * _ORIGIN_GRADING ** -np.arange(_ORIGIN_PANELS, 0, -1)
-    edges = np.concatenate([edges[:1], origin, edges[1:]])
+        b = min(math.sqrt(1.0 / c), b)
 
     def integrand(u, row):
         x = u * u
         return scale * np.exp(-beta * x) * cdf(x, row)
 
-    return _gk21(integrand, n, edges) + tail
+    return _tanh_sinh(integrand, n, b) + tail
 
 
 def ser_sweep(config: SystemConfig, direction: Direction, mod: Modulation, powers) -> np.ndarray:

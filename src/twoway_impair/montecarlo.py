@@ -200,8 +200,6 @@ def mc_outage_sweep(config: SystemConfig, query: OutageQuery, powers, mc: McConf
     through model.sndr, whose constants carry the relay's assumed receive
     EVM; ties with the threshold count as outage.
     """
-    if query.x < 0:
-        raise ValueError("outage threshold must be nonnegative")
 
     def outages(point, gains):
         return np.count_nonzero(sndr(point, query.direction, *gains) <= query.x)

@@ -253,28 +253,19 @@ def test_ser_floor_quadrature_reduces_to_closed_form():
         ser_floor_quadrature(BPSK, 1.0, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("degree", range(33))
-def test_gauss_kronrod_pair_integrates_polynomials(degree):
-    # int_{-1}^{1} t^d dt.  K21 is exact through degree 31 and G10 through
-    # 19; past that only the odd degrees are, by symmetry.
-    exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
-    kronrod, gauss = analytic._GK_NODES**degree @ analytic._GK_WEIGHTS
-    assert (abs(kronrod - exact) <= 1e-15) == (degree <= 31)
-    assert (abs(gauss - exact) <= 1e-15) == (degree <= 19 or degree % 2 == 1)
-
-
 def ser_reference(config, direction, mod=BPSK):
     """SER by QUADPACK at 1e-12 over the scalar outage CDF, with breakpoints
-    graded towards the ceiling so that the layer where the CDF climbs to 1 at
-    high power is resolved."""
+    graded towards u = 0, where at low power the CDF climbs to 1 within
+    u ~ 1e-3, and towards the ceiling, where it climbs to 1 in a thin layer
+    at high power."""
     c = config.relay_impairments.c()
     upper = math.sqrt(50.0 / min(mod.beta, 1.0))
     tail = 0.0
-    points = None
+    points = [10.0 ** -k for k in range(12, 0, -1)]
     if c > 0 and math.sqrt(1.0 / c) < upper:
         upper = math.sqrt(1.0 / c)
         tail = 0.5 * mod.alpha * math.erfc(math.sqrt(mod.beta / c))
-        points = [upper * (1.0 - 2.0 ** -k) for k in range(1, 45)]
+        points += [upper * (1.0 - 2.0 ** -k) for k in range(1, 45)]
 
     def integrand(u):
         return math.exp(-mod.beta * u * u) * outage_probability(config, OutageQuery(u * u, direction))
@@ -302,9 +293,8 @@ def test_ser_meets_its_tolerance_against_independent_reference():
             relay_impairments=ImpairmentPair(float(kt), float(kr)),
         )
         cases.append((cfg, D1 if trial % 2 == 0 else D2))
-    # Here that layer falls between the nodes of a single panel over the
-    # whole range: a rule that does not grade its first panels towards the
-    # ceiling misses it by 3.9 times the tolerance.
+    # Here that layer falls between the nodes of a Gauss-Kronrod panel over
+    # the whole range: such a rule misses it by 3.9 times the tolerance.
     p1 = 10.0 ** 5.6
     cases.append((SystemConfig(p1=p1, p2=p1, p3=p1 / 2, n1=1.31, n2=0.58, n3=0.58,
                                omega1=1.8, omega2=1.66,
@@ -320,6 +310,10 @@ def test_ser_meets_its_tolerance_against_independent_reference():
                                    omega1=10 ** rng.uniform(-0.3, 0.3), omega2=10 ** rng.uniform(-0.6, 0.6),
                                    relay_impairments=ImpairmentPair(float(kt), float(kr))),
                       D1 if trial % 2 == 0 else D2))
+    # The README's link.cfg at -60 ... -40 dBW: the CDF reaches 1 by u ~ 1e-3,
+    # and a rule whose nodes near 0 all sit past that point reads an SER of 0.5.
+    for dbw in (-60.0, -55.0, -50.0, -45.0, -40.0):
+        cases += [(fig2_config(10.0 ** (dbw / 10.0)), direction) for direction in (D1, D2)]
     for trial, (cfg, direction) in enumerate(cases):
         ref = ser_reference(cfg, direction)
         got = ser(cfg, direction, BPSK)
@@ -334,16 +328,16 @@ def test_ser_sweep_matches_pointwise_calls():
         assert abs(swept[k] / ser(fig2_config(p, kappa=0.15), D2, BPSK) - 1.0) <= 1e-12
 
 
-def count_cdf_rounds(monkeypatch):
-    """Count the calls of the GK21 panel kernel: one per quadrature round."""
+def count_cdf_evaluations(monkeypatch, name):
+    """Count the calls of the CDF `name` of analytic: one per quadrature round."""
     calls = []
-    panels = analytic._gk21_panels
+    cdf = getattr(analytic, name)
 
     def counted(*args):
         calls.append(1)
-        return panels(*args)
+        return cdf(*args)
 
-    monkeypatch.setattr(analytic, "_gk21_panels", counted)
+    monkeypatch.setattr(analytic, name, counted)
     return calls
 
 
@@ -360,32 +354,56 @@ def family_links():
 
 
 def test_ser_sweeps_finish_in_at_most_two_rounds(monkeypatch):
-    calls = count_cdf_rounds(monkeypatch)
-    p1 = 10.0 ** (np.linspace(0.0, 80.0, 21) / 10.0)
-    for pair, omega2 in family_links():
-        cfg = SystemConfig(p1=1.0, p2=1.0, p3=0.5, n1=1, n2=1, n3=1, omega1=1.0, omega2=omega2,
-                           relay_impairments=pair)
-        for direction in (D1, D2):
-            calls.clear()
-            ser_sweep(cfg, direction, BPSK, (p1, p1, p1 / 2))
-            assert len(calls) <= 2, (pair, omega2, direction, len(calls))
+    # in fact in one CDF evaluation, at low, medium and high power alike
+    calls = count_cdf_evaluations(monkeypatch, "_outage")
+    for low, high in ((0.0, 80.0), (-40.0, 0.0), (80.0, 160.0)):
+        p1 = 10.0 ** (np.linspace(low, high, 21) / 10.0)
+        for pair, omega2 in family_links():
+            cfg = SystemConfig(p1=1.0, p2=1.0, p3=0.5, n1=1, n2=1, n3=1, omega1=1.0, omega2=omega2,
+                               relay_impairments=pair)
+            for direction in (D1, D2):
+                calls.clear()
+                ser_sweep(cfg, direction, BPSK, (p1, p1, p1 / 2))
+                assert len(calls) == 1, (low, high, pair, omega2, direction, len(calls))
 
 
 def test_ser_floor_quadrature_finishes_in_at_most_two_rounds(monkeypatch):
-    calls = count_cdf_rounds(monkeypatch)
+    # in fact in one CDF evaluation
+    calls = count_cdf_evaluations(monkeypatch, "outage_asymptotic")
     for c in (0.0201, 0.04, 0.0825, 0.5):
         for omega_i, omega_ri in ((2.0, 1.0), (1.0, 2.0), (1.0, 4.0)):
             calls.clear()
             ser_floor_quadrature(BPSK, omega_i, omega_ri, c)
-            assert len(calls) <= 2, (c, omega_i, omega_ri, len(calls))
+            assert len(calls) == 1, (c, omega_i, omega_ri, len(calls))
+
+
+# At beta = 1e8 the integrand lives within u ~ 1e-4 of 0, where one call at
+# h = 1/32 falls short of the tolerance and the rule halves its step.
+STEEP = Modulation(alpha=1.0, beta=1e8)
+
+
+# QUADPACK flags roundoff on these 1e-7 ... 1e-10 integrals at 1e-12
+# relative; mpmath agrees with its values to well within SER_ABS_TOL.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_ser_halvings_reach_the_tolerance(monkeypatch):
+    calls = count_cdf_evaluations(monkeypatch, "_outage")
+    for p1 in (1.0, 100.0):
+        for kappa in (0.0, 0.1):
+            cfg = fig3_config(p1, kappa, kappa)
+            calls.clear()
+            got = ser(cfg, D1, STEEP)
+            ref = ser_reference(cfg, D1, STEEP)
+            assert len(calls) > 1, (p1, kappa)
+            tol = max(analytic.SER_REL_TOL * ref, analytic.SER_ABS_TOL)
+            assert abs(got - ref) <= tol, (p1, kappa, got, ref)
 
 
 def test_quadrature_failure_raises_with_estimate(monkeypatch):
     monkeypatch.setattr(analytic, "SER_REL_TOL", 1e-13)
     monkeypatch.setattr(analytic, "SER_ABS_TOL", 1e-300)
-    monkeypatch.setattr(analytic, "SER_MAX_PANELS", 1)
+    monkeypatch.setattr(analytic, "_MAX_HALVINGS", 0)
     with pytest.raises(QuadratureError) as info:
-        ser(fig3_config(100.0), D1, BPSK)
+        ser(fig3_config(100.0), D1, STEEP)
     assert info.value.achieved_error > 0.0
 
 

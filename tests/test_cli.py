@@ -241,14 +241,17 @@ def test_ser_curve_with_mc_columns(tmp_path):
         assert 0.0 <= float(row[4]) <= float(row[3]) <= float(row[5]) <= 1.0
 
 
-@pytest.mark.parametrize("x, start, stop", [("1e-320", "0", "40"), ("1e-25", "1400", "1500")])
+@pytest.mark.parametrize("x, start, stop", [("1e-320", "0", "40"), ("1e-25", "1400", "1500"),
+                                           ("-0", "0", "40")])
 def test_op_curve_where_the_bessel_argument_underflows(tmp_path, x, start, stop):
-    # the Bessel argument underflows to 0, where arg*K1(arg) takes its limit 1
+    # the Bessel argument underflows to 0, where arg*K1(arg) takes its limit 1;
+    # at x = -0 the outage and its floor are +0, printed without a sign
     out = tmp_path / "op.csv"
     assert run_cli(["op-curve", "--config", cfg_with(tmp_path), "--x", x, "--p1-dbw", start, stop,
                     "--out", str(out)]) == 0
     _, rows = read_rows(out)
     assert all(0.0 <= float(row[1]) <= 2.3e-16 for row in rows)
+    assert not any(field.startswith("-") for row in rows for field in row[1:])
 
 
 def test_invert_op_report(capsys):

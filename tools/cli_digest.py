@@ -18,8 +18,10 @@ channel gains, both directions, every curve command with both Monte-Carlo
 routes, `--alpha/--beta`, a custom coupling, `validate`, sample counts that
 leave a partial 4096-sample block, sweeps of more than 16 points, the
 sweep-flag usage errors, SER inversions at 1e-20 and at a subnormal target,
-an outage inversion whose bound overflows, and outage curves whose Bessel
-argument underflows to 0.
+an outage inversion whose bound overflows, outage curves whose Bessel
+argument underflows to 0, and SER curves at low (-60 ... 0 dBW) and high
+(80 ... 160 dBW) power, where the CDF climbs to 1 near x = 0 or just below
+the ceiling.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ def matrix() -> list[list[str]]:
         ["invert", "ser", "--target", "1e-310"],
         ["op-curve", "--config", "matched.cfg", "--x", "1e-320", "--p1-dbw", "0", "40"],
         ["op-curve", "--config", "matched.cfg", "--x", "1e-25", "--p1-dbw", "1400", "1500"],
+        ["ser-curve", "--config", "matched.cfg", "--p1-dbw", "-60", "0"],
+        ["ser-curve", "--config", "matched.cfg", "--p1-dbw", "80", "160"],
     ]
     return commands
 
