@@ -253,6 +253,24 @@ def test_ser_floor_quadrature_reduces_to_closed_form():
         ser_floor_quadrature(BPSK, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("degree", range(33))
+def test_gauss_kronrod_pair_integrates_polynomials(degree):
+    # The SER rule's embedded pair, which replaced the G10/K21 pair under this
+    # name: int_0^1 u^d du by the tanh-sinh rule at h = 1/32, by the h = 1/16
+    # rule on every other node (the error estimate), and by one halving that
+    # adds only the odd nodes at h = 1/64, composed as _tanh_sinh does.
+    exact = 1.0 / (degree + 1)
+    node, weight = analytic._tanh_sinh_nodes(1.0 / 32.0)
+    fine = node**degree @ weight
+    coarse = 2.0 * (node[::2] ** degree @ weight[::2])
+    odd_node, odd_weight = analytic._tanh_sinh_nodes(1.0 / 64.0, odd=True)
+    halved = 0.5 * fine + odd_node**degree @ odd_weight
+    assert odd_node.size == node.size - 1  # only the nodes between the old ones
+    assert abs(fine - exact) <= 1e-15
+    assert abs(coarse - exact) <= 1e-15
+    assert abs(halved - exact) <= 1e-15
+
+
 def ser_reference(config, direction, mod=BPSK):
     """SER by QUADPACK at 1e-12 over the scalar outage CDF, with breakpoints
     graded towards u = 0, where at low power the CDF climbs to 1 within
