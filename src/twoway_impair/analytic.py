@@ -6,18 +6,18 @@ integral of the outage CDF, the closed-form SER floor for symmetric channel
 gains, and inversion utilities that bound the tolerable impairment severity
 for a given outage or SER target.
 
-Numerical strategy for the exact outage expression: the product
-exp(-E) * (arg/D) * K1(arg) is assembled in log space through the
-exponentially scaled Bessel function, so the result stays accurate all the
-way to the saturation threshold x -> 1/c where the raw exponential
-underflows while the true probability tends to 1.
+Numerical strategy for the exact outage expression: exp(-E) * arg*K1(arg) / D
+is assembled in log space from three relatively accurate terms of one sign
+and complemented by expm1, so the outage keeps its relative precision from
+the tiniest thresholds up to the saturation threshold x -> 1/c, where the
+raw exponential underflows while the true probability tends to 1.
 
 Both the outage and the SER are computed for a whole transmit-power sweep at
 once (outage_sweep, ser_sweep): one numpy kernel evaluates the closed form
 for every sweep point, and the SER integral runs one tanh-sinh rule over all
 points together, halving its step for the points still over the fixed
-tolerances SER_REL_TOL and SER_ABS_TOL.  outage_probability and ser are
-one-point sweeps.
+relative tolerance SER_REL_TOL.  outage_probability and ser are one-point
+sweeps.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ def _outage(x, c: float, delta: float, rows: np.ndarray) -> np.ndarray:
     """Exact outage probability at thresholds x for coefficient rows (see _closed_form).
 
     x broadcasts against each row.  0 at x = 0, 1 from the ceiling 1/c on;
-    below it the Rayleigh average reduces to an exponential factor times
-    arg*K1(arg), evaluated in log space.
+    below it 1 - e^(-E) * arg*K1(arg) / (1 + F), with the floor term F =
+    (cx/s)*d_lin, from log terms that cannot cancel (see module docstring).
     """
     x = np.asarray(x, dtype=float)
     e_lin, e_quad, n_lin, n_cub, d_lin = rows
@@ -152,15 +152,11 @@ def _outage(x, c: float, delta: float, rows: np.ndarray) -> np.ndarray:
         ss = s * s
         exponent = (x / s) * e_lin + (x * (1.0 + cx) / ss) * e_quad
         num = ((x + delta * x * x) / ss) * n_lin + (x * x / (ss * s)) * n_cub
-        dfac = 1.0 + (cx / s) * d_lin
-        arg = 2.0 * np.sqrt(num * dfac)
+        floor = (cx / s) * d_lin
+        arg = 2.0 * np.sqrt(num * (1.0 + floor))
         live = (x > 0.0) & (x < ceiling) & np.isfinite(arg) & np.isfinite(exponent)
-        arg = np.where(live, arg, 1.0)
-        # arg * K1(arg) <= 1, written via the scaled Bessel so the log is exact;
-        # where num underflows, arg is 0 and arg * K1(arg) takes its limit 1
-        zk1 = np.where(arg > 0.0, arg * specfun.bessel_k1_scaled(np.where(arg > 0.0, arg, 1.0)), 1.0)
-        log_term = np.log(zk1 / dfac)
-        prob = np.where(live, -np.expm1(-exponent - arg + log_term), np.where(x > 0.0, 1.0, 0.0))
+        log_survival = -exponent + specfun.log_zk1(np.where(live, arg, 0.0)) - np.log1p(floor)
+        prob = np.where(live, -np.expm1(log_survival), np.where(x > 0.0, 1.0, 0.0))
     if np.any(prob < -1e-12):
         raise ArithmeticError(f"outage probability clamp exceeded tolerance: {float(prob.min())!r}")
     return np.maximum(prob, 0.0)
@@ -181,10 +177,8 @@ def outage_probability(config: SystemConfig, query: OutageQuery) -> float:
     """Exact outage probability Pr{SNDR_i <= x} over Rayleigh fading.
 
     Equals 1 identically once x reaches the SNDR ceiling 1/c (c > 0, the
-    ceiling coefficient of model.derived_constants).  Below
-    the ceiling the Rayleigh average reduces to an exponential factor times
-    arg*K1(arg), evaluated in log space; any [0, 1] clamp applied against
-    floating rounding is smaller than 1e-12.  A one-point outage_sweep.
+    ceiling coefficient of model.derived_constants); below it the value is
+    relatively accurate however small it is.  A one-point outage_sweep.
     """
     return float(outage_sweep(config, query, _own_powers(config))[0])
 
@@ -214,7 +208,6 @@ def outage_asymptotic(omega_i: float, omega_ri: float, c: float, x):
 
 # Stopping rule of the SER quadrature (see _tanh_sinh).
 SER_REL_TOL = 1e-9
-SER_ABS_TOL = 1e-12
 # Step halvings past h = 1/32 before a point still over its tolerance raises.
 _MAX_HALVINGS = 6
 # The rule takes its nodes at t = k*h for |t| <= _T_MAX; the two ends it
@@ -244,10 +237,10 @@ def _tanh_sinh(integrand, n: int, b: float) -> np.ndarray:
     to both ends of the range.  One call at h = 1/32 gives every value; the
     rule at h = 1/16, on every other of its nodes, gives the error estimate
     |I(1/32) - I(1/16)|.  A point is done once that change is at most
-    max(SER_ABS_TOL, SER_REL_TOL*|I|); until then each halving of h
-    evaluates only the new nodes, and only for the points still open.  A
-    point still open after _MAX_HALVINGS halvings raises QuadratureError with
-    its last change.
+    SER_REL_TOL*|I| (so an integral of exactly 0 is done at once); until then
+    each halving of h evaluates only the new nodes, and only for the points
+    still open.  A point still open after _MAX_HALVINGS halvings raises
+    QuadratureError with its last change.
     """
     rows = np.arange(n)
     h = 1.0 / 32.0
@@ -256,7 +249,7 @@ def _tanh_sinh(integrand, n: int, b: float) -> np.ndarray:
     total = b * (values @ weight)
     change = np.abs(total - 2.0 * b * (values[:, ::2] @ weight[::2]))
     for halving in range(_MAX_HALVINGS + 1):
-        rows = rows[change[rows] > np.maximum(SER_ABS_TOL, SER_REL_TOL * np.abs(total[rows]))]
+        rows = rows[change[rows] > SER_REL_TOL * np.abs(total[rows])]
         if not rows.size:
             return total
         if halving == _MAX_HALVINGS:
@@ -285,9 +278,8 @@ def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation) -> np.ndarray:
     term at 0 (z*K1(z) = 1 + (z^2/2)(ln(z/2) + gamma - 1/2) + O(z^4 ln z),
     DLMF 10.31.1, with z^2 proportional to x), and at high power the thin
     layer below the ceiling where the CDF climbs to 1; the tanh-sinh rule
-    crowds its nodes into both.
-    The tolerances SER_REL_TOL and SER_ABS_TOL apply to the quadrature part
-    of the SER.
+    crowds its nodes into both.  SER_REL_TOL applies to the quadrature part
+    at every power, the CDF being relatively accurate down to x = 0.
     """
     alpha, beta = mod.alpha, mod.beta
     scale = alpha * math.sqrt(beta) / math.sqrt(math.pi)

@@ -201,9 +201,10 @@ def _resolve_modulation(args) -> Modulation:
 
 def _cmd_op_curve(args) -> int:
     base, direction, grid, powers = _sweep(args)
-    _, _, _, om_i, om_ri = model.link_params(base, direction)
+    p_i, p_ri, _, om_i, om_ri = model.link_params(base, direction, powers)
     c = model.derived_constants(base, direction).c
-    floor = float(analytic.outage_asymptotic(om_i, om_ri, c, args.x))
+    # with p_i = r*p_ri the floor is the equal-power one with r*omega_i
+    floor = float(analytic.outage_asymptotic(p_i[0] / p_ri[0] * om_i, om_ri, c, args.x))
 
     query = OutageQuery(args.x, direction)
     values = analytic.outage_sweep(base, query, powers)
@@ -223,13 +224,14 @@ def _cmd_ser_curve(args) -> int:
     comments: list[str] = []
     floor = None
     if c > 0:
-        _, _, _, om_i, om_ri = model.link_params(base, direction)
+        p_i, p_ri, _, om_i, om_ri = model.link_params(base, direction, powers)
+        om_i *= p_i[0] / p_ri[0]  # as in op-curve
         if om_i == om_ri:
             floor = analytic.ser_asymptotic(mod, c)
         else:
             floor = analytic.ser_floor_quadrature(mod, om_i, om_ri, c)
             comments.append("# asymptote: quadrature over the asymptotic outage CDF "
-                            "(extension; unequal average channel gains)")
+                            "(extension; unequal average channel gains or powers)")
 
     values = analytic.ser_sweep(base, direction, mod, powers)
     estimates = None

@@ -1,22 +1,21 @@
 """Special functions used by the closed-form performance expressions.
 
-Provides the first-order modified Bessel function of the second kind K1 (plain
-and exponentially scaled), the complementary error function, the lower
-incomplete gamma function of order 3/2 (the only order the SER floor needs),
-and the Gaussian Q-function.  Everything here is double precision and pure;
-target accuracy is 1e-12 relative, i.e. at least one order tighter than any
-quadrature tolerance that consumes these kernels.
+The first-order modified Bessel function of the second kind K1 (plain,
+exponentially scaled, and as log(z*K1(z))), the complementary error function,
+the lower incomplete gamma function of order 3/2 (the only order the SER floor
+needs) and the Gaussian Q-function, in double precision, pure, and accurate to
+1e-12 relative: at least one order tighter than any quadrature tolerance that
+consumes them.
 
-The K1 kernels take a number or a numpy array and work elementwise, so a
-whole power sweep, or every quadrature node of one, costs one call.  They
-follow the classical two-branch scheme: the ascending series (DLMF 10.31.2),
-with a fixed number of terms, on z <= 2 and a Chebyshev fit of
-exp(z)*K1(z)*sqrt(z) in the variable 4/z - 1, summed by Clenshaw's
-recurrence, on z > 2.  The Chebyshev coefficients were recomputed from a
-high-precision reference (see tools/gen_k1_coeffs.py) rather than copied from
-the literature.  erfc, the Q-function and the incomplete gamma function take
-single numbers; they serve the closed-form floors and the quadrature's exact
-tail.
+The K1 kernels work elementwise on a number or a numpy array, so a whole power
+sweep, or every quadrature node of one, costs one call.  They follow the
+classical two-branch scheme: on z <= 2 the ascending series (DLMF 10.31.1),
+with a fixed number of terms and written once as z*K1(z) - 1; on z > 2 a
+Chebyshev fit of exp(z)*K1(z)*sqrt(z) in the variable 4/z - 1, summed by
+Clenshaw's recurrence, with coefficients recomputed from a high-precision
+reference (tools/gen_k1_coeffs.py).  erfc, the Q-function and the incomplete
+gamma function take single numbers; they serve the closed-form floors and the
+quadrature's exact tail.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ import numpy as np
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # Chebyshev coefficients of f(t) = exp(z)*K1(z)*sqrt(z), t = 4/z - 1, z in
-# [2, inf).  Max relative error of the truncated series is below 1e-19.
-# Regenerate with tools/gen_k1_coeffs.py.
+# [2, inf), cut where they fall below 1e-15; the sum stays within 1e-15
+# relative of exp(z)*K1(z) on (2, 700].  Regenerate with tools/gen_k1_coeffs.py.
 _K1E_CHEB = (
     2.7206261904844426694,
     0.10392373657681723844,
@@ -51,18 +50,10 @@ _K1E_CHEB = (
     2.4771544242195986813e-14,
     -7.0198370892147688513e-15,
     2.0387031662398608799e-15,
-    -6.0570472706430178228e-16,
-    1.8380935752430454256e-16,
-    -5.6894628491936483743e-17,
-    1.7940510478863572914e-17,
-    -5.7567444820733024503e-18,
-    1.8778651901623267401e-18,
-    -6.2216452873526091852e-19,
-    2.0919125269831136552e-19,
 )
 
 # Horner coefficients (highest power of q first) of the two series sums of
-# K1 on z <= 2: row 0 is sum q^k/(k!(k+1)!), row 1 weights each term by
+# z*K1(z) on z <= 2: row 0 is sum q^k/(k!(k+1)!), row 1 weights each term by
 # psi(k+1) + psi(k+2).  With q <= 1 the first omitted term (k = 14) is below
 # 1e-22 of the sums.
 _K1_SERIES_TERMS = 14
@@ -73,13 +64,13 @@ _K1_SERIES = np.array([
 ])[:, ::-1].copy()
 
 
-def _k1_series(z: np.ndarray) -> np.ndarray:
-    """Ascending series for K1(z), 0 < z <= 2 (DLMF 10.31.2 with n=1).
+def _zk1_minus_one(z: np.ndarray) -> np.ndarray:
+    """z*K1(z) - 1 on 0 < z <= 2, from the ascending series (DLMF 10.31.1 with n=1).
 
-    K1(z) = 1/z + ln(z/2)*I1(z) - (z/4) * sum_k (psi(k+1)+psi(k+2)) q^k / (k!(k+1)!)
-    with q = z^2/4 and I1(z) = (z/2) * sum_k q^k / (k!(k+1)!).  Both sums are
-    polynomials in q <= 1 with fixed coefficients, evaluated together by
-    Horner's rule.
+    z*K1(z) = 1 + q*(2 ln(z/2) S0 - S1) with q = z^2/4, S0 = sum q^k/(k!(k+1)!)
+    and S1 the same sum with each term weighted by psi(k+1) + psi(k+2); the 1
+    is taken out exactly, so the result keeps its relative precision as z ->
+    0.  The sums are polynomials in q <= 1, evaluated together by Horner.
     """
     q = 0.25 * z * z
     sums = np.empty((2, z.size))
@@ -87,8 +78,7 @@ def _k1_series(z: np.ndarray) -> np.ndarray:
     for column in _K1_SERIES.T[1:]:
         sums *= q
         sums += column[:, None]
-    i1 = 0.5 * z * sums[0]
-    return 1.0 / z + np.log(0.5 * z) * i1 - 0.25 * z * sums[1]
+    return q * (2.0 * np.log(0.5 * z) * sums[0] - sums[1])
 
 
 def _k1e_chebyshev(z: np.ndarray) -> np.ndarray:
@@ -114,19 +104,17 @@ def _k1(z, scaled: bool, name: str):
     """K1 (or exp(z)*K1 when `scaled`) of a number or array; the shape of z is kept."""
     z = np.asarray(z, dtype=float)
     if not np.all(z > 0.0):
-        bad = z[~(z > 0.0)].flat[0]
-        raise ValueError(f"{name} requires z > 0, got {float(bad)!r}")
-    flat = z.ravel()
-    out = np.empty(flat.shape)
-    small = flat <= 2.0
+        raise ValueError(f"{name} requires z > 0, got {float(z[~(z > 0.0)].flat[0])!r}")
+    out = np.empty(z.shape)
+    small = z <= 2.0
     if small.any():
-        zs = flat[small]
-        out[small] = np.exp(zs) * _k1_series(zs) if scaled else _k1_series(zs)
+        zs = z[small]
+        k1 = (1.0 + _zk1_minus_one(zs)) / zs
+        out[small] = np.exp(zs) * k1 if scaled else k1
     if not small.all():
-        large = ~small
-        zl = flat[large]
-        out[large] = _k1e_chebyshev(zl) if scaled else np.exp(-zl) * _k1e_chebyshev(zl)
-    return out.reshape(z.shape)[()]
+        zl = z[~small]
+        out[~small] = _k1e_chebyshev(zl) if scaled else np.exp(-zl) * _k1e_chebyshev(zl)
+    return out[()]
 
 
 def bessel_k1_scaled(z):
@@ -146,6 +134,24 @@ def bessel_k1(z):
     K1 diverges.  Accepts a number or an array.
     """
     return _k1(z, False, "bessel_k1")
+
+
+def log_zk1(z):
+    """log(z*K1(z)) of a number or array, elementwise for z >= 0 (0 at z = 0).
+
+    Keeps its relative precision as z -> 0, where it vanishes like (z^2/2) ln z:
+    log1p of z*K1(z) - 1 on z <= 2, log(z*exp(z)*K1(z)) - z above.
+    """
+    z = np.asarray(z, dtype=float)
+    if not np.all(z >= 0.0):
+        raise ValueError(f"log_zk1 requires z >= 0, got {float(z[~(z >= 0.0)].flat[0])!r}")
+    out = np.zeros(z.shape)
+    small, large = (z > 0.0) & (z <= 2.0), z > 2.0
+    if small.any():
+        out[small] = np.log1p(_zk1_minus_one(z[small]))
+    if large.any():
+        out[large] = np.log(z[large] * bessel_k1_scaled(z[large])) - z[large]
+    return out[()]
 
 
 def erfc(x: float) -> float:

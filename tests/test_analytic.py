@@ -89,6 +89,28 @@ def test_outage_zero_threshold():
     assert outage_probability(fig2_config(100.0), OutageQuery(0.0, D1)) == 0.0
 
 
+def test_outage_is_relatively_accurate_down_to_tiny_thresholds(mp_outage):
+    # Unit ideal links at 1e-300 and 1e-120, where arg*K1(arg) is 1 minus a
+    # tiny quantity, and link.cfg at 80 dBW, where the floor term of the
+    # denominator factor is nearly all of the outage at x = 1e-20.
+    unit = SystemConfig(p1=1.0, p2=1.0, p3=1.0, n1=1, n2=1, n3=1, omega1=1.0, omega2=1.0,
+                        relay_impairments=ImpairmentPair(0.0, 0.0))
+    for cfg, x, value in ((unit, 1e-300, 6.936e-298), (unit, 1e-120, 2.79e-118),
+                          (fig2_config(1e8), 1e-20, 4.02e-22)):
+        ref = mp_outage(cfg, D1)(x)
+        assert ref == pytest.approx(value, rel=1e-3)
+        assert abs(outage_probability(cfg, OutageQuery(x, D1)) - ref) <= 1e-12 * ref, (x, ref)
+    # and anywhere in the box, from x = 1e-300 up to the ceiling
+    rng = np.random.default_rng(298)
+    for trial in range(40):
+        cfg = random_config(rng, mismatched=trial % 2 == 1)
+        direction = D1 if trial % 4 < 2 else D2
+        top = min(1.0 / model.derived_constants(cfg, direction).c, 1e4)
+        x = float(10.0 ** rng.uniform(-300.0, math.log10(top)))
+        ref = mp_outage(cfg, direction)(x)
+        assert abs(outage_probability(cfg, OutageQuery(x, direction)) - ref) <= 1e-12 * ref, (trial, x, ref)
+
+
 def test_outage_saturation_region():
     cfg = fig2_config(1e4, kappa=0.2)  # c = 0.0816, ceiling ~ 12.25
     assert outage_probability(cfg, OutageQuery(31.0, D1)) == 1.0
@@ -271,22 +293,28 @@ def test_gauss_kronrod_pair_integrates_polynomials(degree):
     assert abs(halved - exact) <= 1e-15
 
 
-def ser_reference(config, direction, mod=BPSK):
+def ser_reference(config, direction, mod=BPSK, cdf=None):
     """SER by QUADPACK at 1e-12 over the scalar outage CDF, with breakpoints
-    graded towards u = 0, where at low power the CDF climbs to 1 within
-    u ~ 1e-3, and towards the ceiling, where it climbs to 1 in a thin layer
-    at high power."""
+    graded geometrically from the end of the range towards u = 0, where at
+    low power the CDF climbs to 1 within u ~ 1e-3, and towards the ceiling,
+    where it climbs to 1 in a thin layer at high power.  The range, and with
+    it the grading, scales like 1/sqrt(beta) for beta < 1: there the CDF's
+    climb sits deep inside it.  `cdf(x)` stands in for the package's
+    outage_probability."""
+    if cdf is None:
+        def cdf(x):
+            return outage_probability(config, OutageQuery(x, direction))
     c = config.relay_impairments.c()
     upper = math.sqrt(50.0 / min(mod.beta, 1.0))
     tail = 0.0
-    points = [10.0 ** -k for k in range(12, 0, -1)]
+    points = [upper * 10.0 ** -k for k in range(13, 0, -1)]
     if c > 0 and math.sqrt(1.0 / c) < upper:
         upper = math.sqrt(1.0 / c)
         tail = 0.5 * mod.alpha * math.erfc(math.sqrt(mod.beta / c))
         points += [upper * (1.0 - 2.0 ** -k) for k in range(1, 45)]
 
     def integrand(u):
-        return math.exp(-mod.beta * u * u) * outage_probability(config, OutageQuery(u * u, direction))
+        return math.exp(-mod.beta * u * u) * cdf(u * u)
 
     value, _ = quad(integrand, 0.0, upper, epsabs=1e-300, epsrel=1e-12, limit=4000, points=points)
     return mod.alpha * math.sqrt(mod.beta / math.pi) * value + tail
@@ -294,8 +322,8 @@ def ser_reference(config, direction, mod=BPSK):
 
 def test_ser_meets_its_tolerance_against_independent_reference():
     rng = np.random.default_rng(1983)
-    rel_tol, abs_tol = analytic.SER_REL_TOL, analytic.SER_ABS_TOL
-    assert (rel_tol, abs_tol) == (1e-9, 1e-12)
+    rel_tol = analytic.SER_REL_TOL
+    assert rel_tol == 1e-9
     cases = []
     for trial in range(24):
         # the last third sits at high power with severe impairments, where
@@ -335,7 +363,26 @@ def test_ser_meets_its_tolerance_against_independent_reference():
     for trial, (cfg, direction) in enumerate(cases):
         ref = ser_reference(cfg, direction)
         got = ser(cfg, direction, BPSK)
-        assert abs(got - ref) <= max(rel_tol * ref, abs_tol), (trial, got, ref)
+        assert abs(got - ref) <= rel_tol * ref, (trial, got, ref)
+    # At beta = 1e-8 on ideal hardware the CDF climbs over u ~ 0.1 ... 10,
+    # deep inside the range [0, sqrt(5e9)].
+    wide = Modulation(alpha=1.0, beta=1e-8)
+    for direction in (D1, D2):
+        ref = ser_reference(fig3_config(1.0, 0.0, 0.0), direction, wide)
+        got = ser(fig3_config(1.0, 0.0, 0.0), direction, wide)
+        assert abs(got - ref) <= rel_tol * ref, (direction, got, ref)
+
+
+def test_ser_is_relatively_accurate_at_high_power_on_ideal_relays(mp_outage):
+    # The SER falls like 1/SNR here.  The reference integrates an mpmath
+    # CDF: ser_reference over the package's own CDF would inherit its error.
+    for dbw in (100.0, 120.0, 140.0, 160.0):
+        for kappa in (0.0, 1e-6):
+            cfg = fig2_config(10.0 ** (dbw / 10.0), kappa)
+            for direction in (D1, D2):
+                ref = ser_reference(cfg, direction, cdf=mp_outage(cfg, direction))
+                got = ser(cfg, direction, BPSK)
+                assert abs(got - ref) <= analytic.SER_REL_TOL * ref, (dbw, kappa, direction, got, ref)
 
 
 def test_ser_sweep_matches_pointwise_calls():
@@ -401,7 +448,7 @@ STEEP = Modulation(alpha=1.0, beta=1e8)
 
 
 # QUADPACK flags roundoff on these 1e-7 ... 1e-10 integrals at 1e-12
-# relative; mpmath agrees with its values to well within SER_ABS_TOL.
+# relative; mpmath agrees with its values to well within SER_REL_TOL.
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_ser_halvings_reach_the_tolerance(monkeypatch):
     calls = count_cdf_evaluations(monkeypatch, "_outage")
@@ -412,17 +459,21 @@ def test_ser_halvings_reach_the_tolerance(monkeypatch):
             got = ser(cfg, D1, STEEP)
             ref = ser_reference(cfg, D1, STEEP)
             assert len(calls) > 1, (p1, kappa)
-            tol = max(analytic.SER_REL_TOL * ref, analytic.SER_ABS_TOL)
-            assert abs(got - ref) <= tol, (p1, kappa, got, ref)
+            assert abs(got - ref) <= analytic.SER_REL_TOL * ref, (p1, kappa, got, ref)
 
 
 def test_quadrature_failure_raises_with_estimate(monkeypatch):
     monkeypatch.setattr(analytic, "SER_REL_TOL", 1e-13)
-    monkeypatch.setattr(analytic, "SER_ABS_TOL", 1e-300)
     monkeypatch.setattr(analytic, "_MAX_HALVINGS", 0)
     with pytest.raises(QuadratureError) as info:
         ser(fig3_config(100.0), D1, STEEP)
     assert info.value.achieved_error > 0.0
+
+
+def test_a_point_whose_integral_is_zero_stops():
+    # its change, 0, meets the purely relative tolerance at once
+    values = analytic._tanh_sinh(lambda u, row: np.zeros((row.size, u.size)), 3, 1.0)
+    assert np.array_equal(values, np.zeros(3))
 
 
 def test_modulation_validation():

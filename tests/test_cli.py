@@ -204,6 +204,26 @@ def test_ser_curve_ideal_omits_asymptote(tmp_path):
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("command", ["op-curve", "ser-curve"])
+@pytest.mark.parametrize("direction", ["1", "2"])
+@pytest.mark.parametrize("p2", ["p2=p1*4", "p2=p1*2", "p2=p1/4"])
+def test_asymptote_column_is_the_floor_of_the_coupling(tmp_path, command, direction, p2):
+    # with p_i/p_ri = r the curve tends to the equal-power floor at r*omega_i;
+    # with omega 2:1 and m2 = 2, r*omega_i = omega_ri in both directions, so
+    # the SER floor takes its closed form there
+    cfg = cfg_with(tmp_path)
+    out = tmp_path / "curve.csv"
+    flags = ["--x", "31"] if command == "op-curve" else []
+    assert run_cli([command, "--config", cfg, *flags, "--direction", direction,
+                    "--coupling", f"{p2}, p3=p1/2",
+                    "--p1-dbw", "280", "300", "--points", "2", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    curve, floor = float(rows[-1][1]), float(rows[-1][2])
+    assert abs(curve - floor) <= analytic.SER_REL_TOL * floor, (curve, floor)
+    if command == "ser-curve":
+        assert ("# asymptote:" in out.read_text(encoding="utf-8")) == (p2 != "p2=p1*2")
+
+
 def test_ser_curve_asymmetric_gains_labels_extension(tmp_path):
     cfg = cfg_with(tmp_path)  # omega 2:1
     out = tmp_path / "ser.csv"
@@ -244,7 +264,7 @@ def test_ser_curve_with_mc_columns(tmp_path):
 @pytest.mark.parametrize("x, start, stop", [("1e-320", "0", "40"), ("1e-25", "1400", "1500"),
                                            ("-0", "0", "40")])
 def test_op_curve_where_the_bessel_argument_underflows(tmp_path, x, start, stop):
-    # the Bessel argument underflows to 0, where arg*K1(arg) takes its limit 1;
+    # the Bessel argument underflows to 0, where log(arg*K1(arg)) takes its limit 0;
     # at x = -0 the outage and its floor are +0, printed without a sign
     out = tmp_path / "op.csv"
     assert run_cli(["op-curve", "--config", cfg_with(tmp_path), "--x", x, "--p1-dbw", start, stop,

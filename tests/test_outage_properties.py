@@ -21,7 +21,6 @@ from twoway_impair.model import (
 
 # Deterministic examples, so the suite gives the same verdict on every run.
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
-ROUNDING = 2.0**-51
 
 evm = st.floats(0.0, 0.3)
 log_power = st.floats(-1.0, 6.0)
@@ -96,14 +95,23 @@ def test_outage_is_a_cdf_that_reaches_one_at_the_ceiling(config, direction, span
     values = [outage(config, float(x), direction) for x in np.linspace(0.0, top, 25)]
     assert values[0] == 0.0
     assert all(0.0 <= v <= 1.0 for v in values)
-    # Monotone up to ROUNDING: at thresholds near 0 the kernel's log-space
-    # sum has an absolute error of about 1e-16, so tiny values may be out of
-    # order by that much.
-    assert all(later >= earlier - ROUNDING for earlier, later in zip(values, values[1:]))
+    assert all(later >= earlier for earlier, later in zip(values, values[1:]))
     if b > 0:
         assert derived_constants(config, direction).c == pytest.approx(b, rel=1e-15)
         assert outage(config, 1.0 / b, direction) == 1.0
         assert outage(config, (1.0 + span) / b, direction) == 1.0
+
+
+@PROPERTY
+@given(links(), directions)
+def test_outage_is_monotone_from_the_smallest_thresholds_to_the_ceiling(config, direction):
+    # every value is relatively accurate, so no slack is needed even where
+    # the outage is near 1e-300
+    b = ceiling_coefficient(config)
+    grid = np.logspace(-300.0, math.log10(1.0 / b if b > 0 else 1e4), 121)
+    values = [outage(config, float(x), direction) for x in grid]
+    assert values[0] > 0.0
+    assert all(later >= earlier for earlier, later in zip(values, values[1:]))
 
 
 @PROPERTY

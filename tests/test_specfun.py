@@ -104,6 +104,26 @@ def test_k1_scalar_and_array_calls_are_bit_identical():
     assert np.ndim(specfun.bessel_k1_scaled(1.5)) == 0
 
 
+def test_log_zk1_matches_mpmath_down_to_tiny_arguments(mp_zk1_minus_one):
+    # log(z*K1(z)) vanishes like (z^2/2) ln z, so log(z*K1(z)) formed from K1
+    # itself has only an absolute accuracy of 1e-16; below z ~ 1e-154 the
+    # true value is under the smallest normal number
+    import mpmath as mp
+
+    args = np.concatenate([np.logspace(-300.0, math.log10(700.0), 121), np.nextafter(2.0, [0.0, 4.0])])
+    values = specfun.log_zk1(args)
+    for z, got in zip(args, values):
+        with mp.workdps(40):
+            want = float(mp.log1p(mp_zk1_minus_one(float(z))))
+        assert abs(got - want) <= 1e-15 * abs(want) + np.finfo(float).tiny, z
+        assert specfun.log_zk1(float(z)) == got
+    assert specfun.log_zk1(0.0) == 0.0
+    with pytest.raises(ValueError):
+        specfun.log_zk1([1.0, -1e-300])
+    with pytest.raises(ValueError):
+        specfun.log_zk1(math.nan)
+
+
 def _k1e_chebyshev_reference(z):
     """The Clenshaw sum written with a fresh array per step, as the in-place loop replaced."""
     t = 4.0 / z - 1.0

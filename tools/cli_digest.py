@@ -19,9 +19,11 @@ routes, `--alpha/--beta`, a custom coupling, `validate`, sample counts that
 leave a partial 4096-sample block, sweeps of more than 16 points, the
 sweep-flag usage errors, SER inversions at 1e-20 and at a subnormal target,
 an outage inversion whose bound overflows, outage curves whose Bessel
-argument underflows to 0, and SER curves at low (-60 ... 0 dBW) and high
+argument underflows to 0, SER curves at low (-60 ... 0 dBW) and high
 (80 ... 160 dBW) power, where the CDF climbs to 1 near x = 0 or just below
-the ceiling.
+the ceiling, outage curves at x = 1e-20 and SER curves at 100 ... 160 dBW on
+ideal and near-ideal relays, where both are tiny, and uneven couplings
+(p2 = 4 p1, p2 = p1/4) at powers where the curves have met their floors.
 """
 
 from __future__ import annotations
@@ -97,6 +99,18 @@ def matrix() -> list[list[str]]:
         ["ser-curve", "--config", "matched.cfg", "--p1-dbw", "-60", "0"],
         ["ser-curve", "--config", "matched.cfg", "--p1-dbw", "80", "160"],
     ]
+    for cfg in ("ideal.cfg", "near_ideal.cfg"):
+        commands += [
+            ["op-curve", "--config", cfg, "--x", "1e-20", "--p1-dbw", "0", "80"],
+            ["ser-curve", "--config", cfg, "--p1-dbw", "100", "160"],
+        ]
+    for coupling in ("p2=p1*4, p3=p1/2", "p2=p1/4, p3=p1/2"):
+        for direction in ("1", "2"):
+            sweep = ["--config", "matched.cfg", "--direction", direction, "--coupling", coupling]
+            commands += [
+                ["op-curve", *sweep, "--x", "31", "--p1-dbw", "160", "200", "--points", "3"],
+                ["ser-curve", *sweep, "--p1-dbw", "260", "300", "--points", "3"],
+            ]
     return commands
 
 

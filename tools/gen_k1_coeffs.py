@@ -3,7 +3,7 @@
 Fits f(t) = exp(z) * K1(z) * sqrt(z) on z in [2, inf) with the variable
 change t = 4/z - 1 (so t in (-1, 1], t = -1 at z = inf).  Coefficients are
 computed from high-precision besselk values at Chebyshev nodes and trimmed
-once they fall below 1e-19.  Run with mpmath installed and paste the output
+once they fall below 1e-15.  Run with mpmath installed and paste the output
 into specfun.py.
 """
 
@@ -31,7 +31,7 @@ def main():
 
     # trim trailing coefficients below the target precision
     keep = N
-    while keep > 1 and abs(coeffs[keep - 1]) < mp.mpf("1e-19"):
+    while keep > 1 and abs(coeffs[keep - 1]) < mp.mpf("1e-15"):
         keep -= 1
     trimmed = coeffs[:keep]
 
