@@ -87,7 +87,7 @@ class OutageQuery:
 
     def __post_init__(self):
         if not self.x >= 0:
-            raise ValueError("outage threshold must be nonnegative")
+            raise ValueError(f"outage threshold must be a number >= 0, got {self.x!r}")
 
 
 def _sweep_powers(powers):
@@ -192,7 +192,7 @@ def outage_asymptotic(omega_i: float, omega_ri: float, c: float, x):
     """
     x = np.asarray(x, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0: no floor of -0
     if not np.all(x >= 0):
-        raise ValueError("outage threshold must be nonnegative")
+        raise ValueError("outage threshold must be a number >= 0")
     if not (omega_i > 0 and omega_ri > 0):
         raise ValueError("average channel gains must be positive")
     if c == 0.0:
@@ -286,7 +286,8 @@ def _ser_from_cdf(cdf, n: int, c: float, mod: Modulation) -> np.ndarray:
     b = math.sqrt(max(50.0 / beta, 50.0))
     tail = 0.0
     if c > 0:
-        tail = 0.5 * alpha * specfun.erfc(math.sqrt(beta / c))
+        if beta / c < math.inf:  # beyond an overflowing ceiling the tail is exactly 0
+            tail = 0.5 * alpha * specfun.erfc(math.sqrt(beta / c))
         b = min(math.sqrt(1.0 / c), b)
 
     def integrand(u, row):
@@ -334,10 +335,15 @@ def ser_floor_quadrature(mod: Modulation, omega_i: float, omega_ri: float, c: fl
 
     Applies the CDF-integral SER formula to the asymptotic outage floor.
     Extends the closed-form floor, which is only stated for omega_i ==
-    omega_ri, and reduces to it in that case.
+    omega_ri, and reduces to it in that case.  Where the floor is subnormal,
+    so that no relative tolerance can be met, it is its small-c limit
+    (omega_i/omega_ri) * alpha*c/(4*beta), as in ser_asymptotic.
     """
     if not c > 0:
         raise ValueError("SER floor is 0 under ideal hardware; requires c > 0")
+    limit = (omega_i / omega_ri) * mod.alpha * c / (4.0 * mod.beta)
+    if limit < np.finfo(float).tiny:
+        return limit
     value = _ser_from_cdf(lambda x, row: outage_asymptotic(omega_i, omega_ri, c, x), 1, c, mod)
     return float(value[0])
 

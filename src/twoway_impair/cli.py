@@ -201,12 +201,12 @@ def _resolve_modulation(args) -> Modulation:
 
 def _cmd_op_curve(args) -> int:
     base, direction, grid, powers = _sweep(args)
+    query = OutageQuery(args.x, direction)
     p_i, p_ri, _, om_i, om_ri = model.link_params(base, direction, powers)
     c = model.derived_constants(base, direction).c
     # with p_i = r*p_ri the floor is the equal-power one with r*omega_i
     floor = float(analytic.outage_asymptotic(p_i[0] / p_ri[0] * om_i, om_ri, c, args.x))
 
-    query = OutageQuery(args.x, direction)
     values = analytic.outage_sweep(base, query, powers)
     estimates = montecarlo.mc_outage_sweep(base, query, powers, _mc_config(args)) if args.mc else None
     _write_csv(args.out, [], p1_dbw=grid, analytic=values.tolist(), asymptote=[floor] * len(grid),

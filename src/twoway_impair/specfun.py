@@ -10,10 +10,13 @@ consumes them.
 The K1 kernels work elementwise on a number or a numpy array, so a whole power
 sweep, or every quadrature node of one, costs one call.  They follow the
 classical two-branch scheme: on z <= 2 the ascending series (DLMF 10.31.1),
-with a fixed number of terms and written once as z*K1(z) - 1; on z > 2 a
-Chebyshev fit of exp(z)*K1(z)*sqrt(z) in the variable 4/z - 1, summed by
-Clenshaw's recurrence, with coefficients recomputed from a high-precision
-reference (tools/gen_k1_coeffs.py).  erfc, the Q-function and the incomplete
+with a fixed number of terms, summed by Horner and written once as
+z*K1(z) - 1; on z > 2 a Chebyshev fit of exp(z)*K1(z)*sqrt(z) in the
+variable 4/z - 1, summed by Clenshaw's recurrence, with coefficients
+recomputed from a high-precision reference (tools/gen_k1_coeffs.py).  Each
+recurrence is plain arithmetic that runs unchanged on a float or on an array
+of any shape; bessel_k1_scaled alone splits its input between the branches,
+and bessel_k1 is exp(-z) times it.  erfc, the Q-function and the incomplete
 gamma function take single numbers; they serve the closed-form floors and the
 quadrature's exact tail.
 """
@@ -53,18 +56,18 @@ _K1E_CHEB = (
 )
 
 # Horner coefficients (highest power of q first) of the two series sums of
-# z*K1(z) on z <= 2: row 0 is sum q^k/(k!(k+1)!), row 1 weights each term by
-# psi(k+1) + psi(k+2).  With q <= 1 the first omitted term (k = 14) is below
-# 1e-22 of the sums.
+# z*K1(z) on z <= 2: the first tuple is sum q^k/(k!(k+1)!), the second weights
+# each term by psi(k+1) + psi(k+2).  With q <= 1 the first omitted term
+# (k = 14) is below 1e-22 of the sums.
 _K1_SERIES_TERMS = 14
-_K1_SERIES = np.array([
-    [1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(_K1_SERIES_TERMS)],
-    [(2.0 * (sum(1.0 / j for j in range(1, k + 1)) - _EULER_GAMMA) + 1.0 / (k + 1))
-     / (math.factorial(k) * math.factorial(k + 1)) for k in range(_K1_SERIES_TERMS)],
-])[:, ::-1].copy()
+_K1_SERIES = (
+    tuple(1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in reversed(range(_K1_SERIES_TERMS))),
+    tuple((2.0 * (sum(1.0 / j for j in range(1, k + 1)) - _EULER_GAMMA) + 1.0 / (k + 1))
+          / (math.factorial(k) * math.factorial(k + 1)) for k in reversed(range(_K1_SERIES_TERMS))),
+)
 
 
-def _zk1_minus_one(z: np.ndarray) -> np.ndarray:
+def _zk1_minus_one(z):
     """z*K1(z) - 1 on 0 < z <= 2, from the ascending series (DLMF 10.31.1 with n=1).
 
     z*K1(z) = 1 + q*(2 ln(z/2) S0 - S1) with q = z^2/4, S0 = sum q^k/(k!(k+1)!)
@@ -73,48 +76,20 @@ def _zk1_minus_one(z: np.ndarray) -> np.ndarray:
     0.  The sums are polynomials in q <= 1, evaluated together by Horner.
     """
     q = 0.25 * z * z
-    sums = np.empty((2, z.size))
-    sums[:] = _K1_SERIES[:, :1]
-    for column in _K1_SERIES.T[1:]:
-        sums *= q
-        sums += column[:, None]
-    return q * (2.0 * np.log(0.5 * z) * sums[0] - sums[1])
+    s0 = s1 = 0.0
+    for c0, c1 in zip(*_K1_SERIES):
+        s0, s1 = s0 * q + c0, s1 * q + c1
+    return q * (2.0 * np.log(0.5 * z) * s0 - s1)
 
 
-def _k1e_chebyshev(z: np.ndarray) -> np.ndarray:
-    """exp(z)*K1(z) on z > 2: Clenshaw sum of the Chebyshev fit in t = 4/z - 1.
-
-    The recurrence b0 = 2t*b1 - b2 + c runs in three rotating buffers, so the
-    loop allocates nothing.
-    """
+def _k1e_chebyshev(z):
+    """exp(z)*K1(z) on z > 2: Clenshaw sum of the Chebyshev fit in t = 4/z - 1."""
     t = 4.0 / z - 1.0
     t2 = 2.0 * t
-    b0 = np.empty_like(t)
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
+    b1 = b2 = 0.0
     for c in reversed(_K1E_CHEB[1:]):
-        np.multiply(t2, b1, out=b0)
-        b0 -= b2
-        b0 += c
-        b0, b1, b2 = b2, b0, b1
+        b1, b2 = t2 * b1 - b2 + c, b1
     return (t * b1 - b2 + 0.5 * _K1E_CHEB[0]) / np.sqrt(z)
-
-
-def _k1(z, scaled: bool, name: str):
-    """K1 (or exp(z)*K1 when `scaled`) of a number or array; the shape of z is kept."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(z > 0.0):
-        raise ValueError(f"{name} requires z > 0, got {float(z[~(z > 0.0)].flat[0])!r}")
-    out = np.empty(z.shape)
-    small = z <= 2.0
-    if small.any():
-        zs = z[small]
-        k1 = (1.0 + _zk1_minus_one(zs)) / zs
-        out[small] = np.exp(zs) * k1 if scaled else k1
-    if not small.all():
-        zl = z[~small]
-        out[~small] = _k1e_chebyshev(zl) if scaled else np.exp(-zl) * _k1e_chebyshev(zl)
-    return out[()]
 
 
 def bessel_k1_scaled(z):
@@ -124,16 +99,28 @@ def bessel_k1_scaled(z):
     use this form whenever exp terms elsewhere cancel the e^{-z} decay.
     Accepts a number or an array; raises unless every z > 0.
     """
-    return _k1(z, True, "bessel_k1_scaled")
+    z = np.asarray(z, dtype=float)
+    if not np.all(z > 0.0):
+        raise ValueError(f"bessel_k1_scaled requires z > 0, got {float(z[~(z > 0.0)].flat[0])!r}")
+    out = np.empty(z.shape)
+    small = z <= 2.0
+    if small.any():
+        zs = z[small]
+        out[small] = np.exp(zs) * ((1.0 + _zk1_minus_one(zs)) / zs)
+    if not small.all():
+        out[~small] = _k1e_chebyshev(z[~small])
+    return out[()]
 
 
 def bessel_k1(z):
     """Modified Bessel function of the second kind, order one, elementwise.
 
-    Returns 0 once exp(-z) underflows (z > ~746); raises for z <= 0 where
-    K1 diverges.  Accepts a number or an array.
+    exp(-z) times bessel_k1_scaled(z): returns 0 once exp(-z) underflows
+    (z > ~746); raises for z <= 0 where K1 diverges.  Accepts a number or an
+    array.
     """
-    return _k1(z, False, "bessel_k1")
+    scaled = bessel_k1_scaled(z)
+    return np.exp(-np.asarray(z, dtype=float)) * scaled
 
 
 def log_zk1(z):
@@ -176,9 +163,10 @@ def lower_incomplete_gamma(p: float, x: float) -> float:
     """Lower incomplete gamma function gamma(3/2, x) = int_0^x t^(1/2) e^(-t) dt.
 
     Serves p = 3/2 only, the order of the SER floor; any other p raises.
-    The power series runs on x < 5/2; from there on the closed form
-    (sqrt(pi)/2) erf(sqrt(x)) - sqrt(x) e^(-x) has no cancellation.  Both
-    are within ~1e-15 relative for every x >= 0.
+    The power series x^p e^(-x) sum_n x^n / (p (p+1) ... (p+n)) runs on
+    x < 5/2 = p + 1, where every term is smaller than the one before it;
+    from there on the closed form (sqrt(pi)/2) erf(sqrt(x)) - sqrt(x) e^(-x)
+    has no cancellation.  Both are within ~1e-15 relative for every x >= 0.
     """
     if p != 1.5:
         raise ValueError(f"lower_incomplete_gamma serves p = 1.5 only, got p={p!r}")
@@ -187,22 +175,12 @@ def lower_incomplete_gamma(p: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     if x < 2.5:
-        return _gamma_series(p, x)
+        term = total = 1.0 / p
+        n = 0
+        while term >= 1e-17 * total:
+            n += 1
+            term *= x / (p + n)
+            total += term
+        return total * math.exp(p * math.log(x) - x)
     root = math.sqrt(x)
     return 0.5 * math.sqrt(math.pi) * math.erf(root) - root * math.exp(-x)
-
-
-def _gamma_series(p: float, x: float) -> float:
-    """gamma(p,x) = x^p e^{-x} sum_{n>=0} x^n / (p (p+1) ... (p+n)); x < p+1."""
-    term = 1.0 / p
-    total = term
-    n = 0
-    while True:
-        n += 1
-        term *= x / (p + n)
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-        if n > 500:
-            raise ArithmeticError(f"incomplete gamma series stalled at p={p}, x={x}")
-    return total * math.exp(p * math.log(x) - x)

@@ -200,6 +200,10 @@ def test_mismatched_gain_matches_monte_carlo():
 def test_outage_rejects_negative_threshold():
     with pytest.raises(ValueError):
         OutageQuery(-1.0, D1)
+    with pytest.raises(ValueError, match="number >= 0, got nan"):
+        OutageQuery(math.nan, D1)
+    with pytest.raises(ValueError, match="number >= 0"):
+        outage_asymptotic(2.0, 1.0, 0.02, math.nan)
 
 
 def test_outage_high_power_convergence():

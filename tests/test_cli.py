@@ -261,6 +261,28 @@ def test_ser_curve_with_mc_columns(tmp_path):
         assert 0.0 <= float(row[4]) <= float(row[3]) <= float(row[5]) <= 1.0
 
 
+@pytest.mark.parametrize("omega1", ["1", "2"])
+@pytest.mark.parametrize("mc", [[], ["--mc"], ["--mc", "--mc-route", "signal"]])
+def test_ser_curve_at_a_subnormal_severity(tmp_path, omega1, mc):
+    # EVM 1e-160 puts c near 2e-320: beta/c overflows, so the SER tail beyond
+    # the ceiling is 0 and the floor is its small-c limit, with equal gains
+    # (omega 1:1) as with unequal ones (2:1)
+    sweep = ["--p1-dbw", "0", "40", "--points", "3"]
+    out, ideal_out = tmp_path / "ser.csv", tmp_path / "ideal.csv"
+    ideal = cfg_with(tmp_path, omega1=omega1, kappa3t=0, kappa3r=0)
+    assert run_cli(["ser-curve", "--config", ideal, *sweep, "--out", str(ideal_out)]) == 0
+    cfg = cfg_with(tmp_path, omega1=omega1, kappa3t="1e-160", kappa3r="1e-160")
+    assert run_cli(["ser-curve", "--config", cfg, *sweep, *mc, "--samples", "2000",
+                    "--out", str(out)]) == 0
+    (_, rows), (_, ideal_rows) = read_rows(out), read_rows(ideal_out)
+    c = model.derived_constants(parse_config(cfg), model.Direction(1)).c
+    assert 0.0 < c < 1e-300
+    limit = float(omega1) * c / 4.0  # (omega1/omega2) * alpha*c/(4*beta), BPSK, omega2 = 1
+    for row, ideal_row in zip(rows, ideal_rows):
+        assert abs(float(row[1]) / float(ideal_row[1]) - 1.0) <= analytic.SER_REL_TOL
+        assert float(row[2]) == limit
+
+
 @pytest.mark.parametrize("x, start, stop", [("1e-320", "0", "40"), ("1e-25", "1400", "1500"),
                                            ("-0", "0", "40")])
 def test_op_curve_where_the_bessel_argument_underflows(tmp_path, x, start, stop):
@@ -461,10 +483,11 @@ def test_custom_coupling_honored(tmp_path):
     (["--coupling", "p2=p1*1e300, p3=p1/2", "--p1-dbw", "0", "80", "--x", "3"], "coupling"),
     (["--coupling", "p2=p1*1e300, p3=p1/2", "--p1-dbw", "-40", "0", "--x", "3", "--direction", "2"],
      "coupling"),
+    (["--x", "nan"], "threshold must be a number >= 0, got nan"),
 ], ids=["unparsable-coupling", "zero-divisor", "infinite-multiplier", "stop-overflows", "start-underflows",
-        "repeated-clause", "coefficients-overflow", "coefficients-overflow-direction-2"])
+        "repeated-clause", "coefficients-overflow", "coefficients-overflow-direction-2", "nan-threshold"])
 def test_bad_sweep_flags_exit_2(tmp_path, capsys, flags, named):
-    # rejected with a message naming the clause, bound or coupling, not as a
+    # rejected with a message naming the clause, bound, coupling or threshold, not as a
     # numerical failure, and without a numpy warning on the way
     argv = ["op-curve", "--config", cfg_with(tmp_path), "--x", "31", "--points", "3",
             "--p1-dbw", "0", "40", *flags]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from twoway_impair.analytic import OutageQuery, outage_probability
+from twoway_impair.analytic import OutageQuery, outage_asymptotic, outage_probability, outage_sweep
 from twoway_impair.model import (
     Direction,
     ImpairmentPair,
@@ -144,3 +144,34 @@ def test_outage_matches_explicit_gain_integral_at_mismatched_points(config, dire
     b = ceiling_coefficient(config)
     x = frac / b if b > 0 else 100.0 * frac
     assert abs(outage(config, x, direction) - outage_by_explicit_gain(config, x, direction)) < 1e-9
+
+
+# Two separately rounded forms, the exact outage and its floor, each accurate
+# to about 4e-16 relative, may cross by that much where the curve has met the
+# floor; a counterexample beyond this slack is a finding, not a reason to widen it.
+SWEEP_SLACK = 1e-15
+P1_SWEEP = 10.0 ** (np.linspace(-20.0, 160.0, 37) / 10.0)
+log_unit = st.floats(-1.0, 1.0)
+log_multiplier = st.floats(-2.0, 2.0)
+
+
+@PROPERTY
+@given(st.floats(1e-3, 0.4), st.floats(0.0, 0.4), st.one_of(st.none(), st.floats(0.0, 0.4)),
+       st.lists(log_unit, min_size=5, max_size=5), log_multiplier, log_multiplier, directions,
+       st.floats(0.01, 0.99))
+def test_outage_falls_to_the_floor_of_any_coupling(kt, kr, assumed, logs, log_m2, log_m3, direction, frac):
+    # along p1 with p2 = m2*p1 and p3 = m3*p1 the outage does not increase,
+    # stays at or above the floor at r*omega_i (r = p_i/p_ri) and ends on it
+    n1, n2, n3, omega1, omega2 = (10.0**v for v in logs)
+    m2, m3 = 10.0**log_m2, 10.0**log_m3
+    config = SystemConfig(p1=1.0, p2=m2, p3=m3, n1=n1, n2=n2, n3=n3, omega1=omega1, omega2=omega2,
+                          relay_impairments=ImpairmentPair(kt, kr), assumed_kappa_r=assumed)
+    c = derived_constants(config, direction).c
+    x = frac / c
+    powers = (P1_SWEEP, m2 * P1_SWEEP, m3 * P1_SWEEP)
+    p_i, p_ri, _, om_i, om_ri = link_params(config, direction, powers)
+    floor = float(outage_asymptotic(p_i[0] / p_ri[0] * om_i, om_ri, c, x))
+    values = outage_sweep(config, OutageQuery(x, direction), powers)
+    assert all(later <= earlier * (1.0 + SWEEP_SLACK) for earlier, later in zip(values, values[1:]))
+    assert all(value >= floor * (1.0 - SWEEP_SLACK) for value in values)
+    assert abs(values[-1] - floor) <= 1e-6

@@ -125,7 +125,7 @@ def test_log_zk1_matches_mpmath_down_to_tiny_arguments(mp_zk1_minus_one):
 
 
 def _k1e_chebyshev_reference(z):
-    """The Clenshaw sum written with a fresh array per step, as the in-place loop replaced."""
+    """The Clenshaw sum written independently of the kernel, started from an array of zeros."""
     t = 4.0 / z - 1.0
     t2 = 2.0 * t
     b1 = np.zeros_like(t)

@@ -22,8 +22,10 @@ an outage inversion whose bound overflows, outage curves whose Bessel
 argument underflows to 0, SER curves at low (-60 ... 0 dBW) and high
 (80 ... 160 dBW) power, where the CDF climbs to 1 near x = 0 or just below
 the ceiling, outage curves at x = 1e-20 and SER curves at 100 ... 160 dBW on
-ideal and near-ideal relays, where both are tiny, and uneven couplings
-(p2 = 4 p1, p2 = p1/4) at powers where the curves have met their floors.
+ideal and near-ideal relays, where both are tiny, uneven couplings
+(p2 = 4 p1, p2 = p1/4) at powers where the curves have met their floors,
+SER curves on a relay of subnormal severity (EVM 1e-160, equal and unequal
+gains), and an outage curve at a NaN threshold.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ CONFIGS = {
     "ideal.cfg": {"kappa3t": "0", "kappa3r": "0"},
     "equal_gains.cfg": {"omega1": "1", "omega2": "1", "kappa3t": "0.05", "kappa3r": "0.15"},
     "near_ideal.cfg": {"omega1": "1", "omega2": "1", "kappa3t": "1e-9", "kappa3r": "1e-9"},
+}
+# Relays with a subnormal severity (c ~ 2e-320), where beta/c overflows; they
+# serve only the commands appended at the end of the matrix.
+SUBNORMAL_CONFIGS = {
+    "subnormal.cfg": {"kappa3t": "1e-160", "kappa3r": "1e-160"},
+    "subnormal_equal_gains.cfg": {"omega1": "1", "omega2": "1", "kappa3t": "1e-160", "kappa3r": "1e-160"},
 }
 COUPLING = "p2=p1*2, p3=p1/3"
 
@@ -111,6 +119,15 @@ def matrix() -> list[list[str]]:
                 ["op-curve", *sweep, "--x", "31", "--p1-dbw", "160", "200", "--points", "3"],
                 ["ser-curve", *sweep, "--p1-dbw", "260", "300", "--points", "3"],
             ]
+    for cfg in SUBNORMAL_CONFIGS:
+        sweep = ["ser-curve", "--config", cfg, "--p1-dbw", "0", "40", "--points", "3"]
+        commands += [
+            sweep,
+            [*sweep, "--mc", "--samples", "4097"],
+            [*sweep, "--mc", "--mc-route", "signal", "--samples", "4097"],
+            [*sweep, "--alpha", "1", "--beta", "1e8"],
+        ]
+    commands.append(["op-curve", "--config", "matched.cfg", "--x", "nan", "--p1-dbw", "0", "40"])
     return commands
 
 
@@ -138,7 +155,7 @@ def main_digest() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, overrides in CONFIGS.items():
+            for name, overrides in {**CONFIGS, **SUBNORMAL_CONFIGS}.items():
                 with open(name, "w", encoding="utf-8") as handle:
                     handle.writelines(f"{k} = {v}\n" for k, v in {**BASE, **overrides}.items())
             for argv in matrix():
