@@ -23,12 +23,13 @@ sweeps.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .model import Direction, SystemConfig, derived_constants, link_params
+from .model import Direction, SystemConfig, _check_positive, derived_constants, link_params
 
 __all__ = [
     "Modulation",
@@ -68,9 +69,7 @@ class Modulation:
     beta: float
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"modulation constant {name} must be finite and positive, got {value!r}")
+        _check_positive(alpha=self.alpha, beta=self.beta)
 
 
 MODULATIONS = {
@@ -193,12 +192,10 @@ def outage_asymptotic(omega_i: float, omega_ri: float, c: float, x):
     x = np.asarray(x, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0: no floor of -0
     if not np.all(x >= 0):
         raise ValueError("outage threshold must be a number >= 0")
-    if not (omega_i > 0 and omega_ri > 0):
-        raise ValueError("average channel gains must be positive")
+    _check_positive(omega_i=omega_i, omega_ri=omega_ri)
     if c == 0.0:
         return np.zeros(x.shape)[()]
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    _check_positive(c=c)
     cx = c * x
     floor = np.ones(cx.shape)
     below = cx < 1.0
@@ -313,21 +310,40 @@ def ser(config: SystemConfig, direction: Direction, mod: Modulation) -> float:
     return float(ser_sweep(config, direction, mod, _own_powers(config))[0])
 
 
+def _small_c_limit(mod: Modulation, gain_ratio: float, c: float):
+    """The SER floor's small-c limit gain_ratio*alpha*c/(4*beta) where it is the floor to rounding, else None.
+
+    gain_ratio is omega_i/omega_ri.  Relative to the floor, the limit's first
+    correction is -(3/2)(c/beta)(gain_ratio - 1), from the (cx)^2 term of the
+    outage floor against the e^{-beta x} x^{3/2} moment; for equal gains the
+    rest is O(sqrt(beta/c) e^{-beta/c}).  Both are below the unit roundoff
+    2^-53 once (c/beta)(1 + (3/2)|gain_ratio - 1|) is.
+    """
+    q = c / mod.beta
+    if q * (1.0 + 1.5 * abs(gain_ratio - 1.0)) > 2.0**-53:
+        return None
+    return mod.alpha * (gain_ratio * q) / 4.0
+
+
 def ser_asymptotic(mod: Modulation, c: float) -> float:
     """High-power SER floor for identical average channel gains.
 
     (alpha c / (2 beta sqrt(pi))) * gamma(3/2, beta/c) + (alpha/2) * erfc(sqrt(beta/c)).
     Strictly positive for any c > 0: impairments leave an irreducible error
-    floor that no transmit power can cross.
+    floor that no transmit power can cross.  Finite at every positive double
+    c: the small-c limit serves where c/beta is tiny, and where beta/c is
+    below 2^-106 the gamma term, at most sqrt(beta/(pi c))/3 of alpha, is
+    below rounding and is dropped.
     """
-    if not c > 0:
-        raise ValueError("SER floor is 0 under ideal hardware; requires c > 0")
+    _check_positive(c=c)  # under ideal hardware the floor is 0
+    limit = _small_c_limit(mod, 1.0, c)
+    if limit is not None:
+        return limit
     ratio = mod.beta / c
-    if math.isinf(ratio):
-        # the limit of the floor as beta/c grows: gamma(3/2, inf) = sqrt(pi)/2, erfc(inf) = 0
-        return mod.alpha * c / (4.0 * mod.beta)
-    value = (mod.alpha * c / (2.0 * mod.beta * math.sqrt(math.pi))) * specfun.lower_incomplete_gamma(1.5, ratio)
-    return value + 0.5 * mod.alpha * specfun.erfc(math.sqrt(ratio))
+    value = 0.5 * specfun.erfc(math.sqrt(ratio))
+    if ratio > 2.0**-106:
+        value += (c / (2.0 * mod.beta * math.sqrt(math.pi))) * specfun.lower_incomplete_gamma(1.5, ratio)
+    return mod.alpha * value
 
 
 def ser_floor_quadrature(mod: Modulation, omega_i: float, omega_ri: float, c: float) -> float:
@@ -335,25 +351,19 @@ def ser_floor_quadrature(mod: Modulation, omega_i: float, omega_ri: float, c: fl
 
     Applies the CDF-integral SER formula to the asymptotic outage floor.
     Extends the closed-form floor, which is only stated for omega_i ==
-    omega_ri, and reduces to it in that case.  Where the floor is subnormal,
-    so that no relative tolerance can be met, it is its small-c limit
-    (omega_i/omega_ri) * alpha*c/(4*beta), as in ser_asymptotic.
+    omega_ri, and reduces to it in that case.  Where c/beta is so small that
+    the small-c limit (omega_i/omega_ri) * alpha*c/(4*beta) is the floor to
+    rounding, it is that limit, as in ser_asymptotic.
     """
-    if not c > 0:
-        raise ValueError("SER floor is 0 under ideal hardware; requires c > 0")
-    limit = (omega_i / omega_ri) * mod.alpha * c / (4.0 * mod.beta)
-    if limit < np.finfo(float).tiny:
+    _check_positive(omega_i=omega_i, omega_ri=omega_ri, c=c)
+    limit = _small_c_limit(mod, omega_i / omega_ri, c)
+    if limit is not None:
         return limit
     value = _ser_from_cdf(lambda x, row: outage_asymptotic(omega_i, omega_ri, c, x), 1, c, mod)
     return float(value[0])
 
 
-def invert_impairment_for_op(
-    target_op: float,
-    x: float,
-    omega_i: float,
-    omega_ri: float,
-) -> float:
+def invert_impairment_for_op(target_op: float, x: float, omega_i: float, omega_ri: float) -> float:
     """Largest impairment severity c whose outage floor stays at target_op.
 
     The floor is a Moebius function of c*x, so the inverse is closed form:
@@ -363,9 +373,7 @@ def invert_impairment_for_op(
         raise InfeasibleTargetError("target outage probability must lie in (0, 1)")
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"threshold x must be finite and strictly positive, got {x!r}")
-    for name, value in (("omega_i", omega_i), ("omega_ri", omega_ri)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"average channel gain {name} must be finite and positive, got {value!r}")
+    _check_positive(omega_i=omega_i, omega_ri=omega_ri)
     denom = x * (omega_i - target_op * (omega_i - omega_ri))
     if denom <= 0:
         raise InfeasibleTargetError("no finite impairment bound for these parameters")
@@ -380,37 +388,31 @@ def invert_impairment_for_op(
     return c
 
 
-def invert_impairment_for_ser(target_ser: float, mod: Modulation) -> float:
-    """Impairment severity c whose SER floor equals target_ser (bisection).
+def _positive_double(k: int) -> float:
+    """The k-th positive double: their bit patterns count up from ulp(0.0) (k = 1) to float max."""
+    return struct.unpack("<d", struct.pack("<q", k))[0]
 
-    The floor increases strictly with c and spans (0, alpha/2), so a
-    geometric bracket around the small-c approximation alpha*c/(4*beta)
-    always exists; bisection stops once the bracket is below 1e-12 relative.
+
+def invert_impairment_for_ser(target_ser: float, mod: Modulation) -> float:
+    """Largest impairment severity c whose SER floor does not exceed target_ser.
+
+    One bisection over the positive doubles, from ulp(0.0) up to float max,
+    by their bit patterns, which count up in the same order: it keeps
+    ser_asymptotic(lo) <= target < ser_asymptotic(hi) and stops once lo and
+    hi are adjacent doubles, so the returned lo is exact to the double.
+    Raises InfeasibleTargetError when no positive double meets the target.
     """
-    if not 0.0 < target_ser < 0.5 * mod.alpha:
+    lo, hi = 1, 0x7FEFFFFFFFFFFFFF  # ulp(0.0) and float max
+    low, high = ser_asymptotic(mod, _positive_double(lo)), ser_asymptotic(mod, _positive_double(hi))
+    if not (target_ser > 0.0 and low <= target_ser < high):
         raise InfeasibleTargetError(
-            f"target SER must lie in (0, alpha/2) = (0, {0.5 * mod.alpha!r})"
+            f"no positive severity meets target SER {target_ser!r}: it must be > 0, at least "
+            f"{low!r} (the floor at ulp(0.0)) and below {high!r} (the floor at float max)"
         )
-    guess = max(4.0 * mod.beta * target_ser / mod.alpha, 1e-300)
-    lo = hi = guess
-    for _ in range(2000):
-        if ser_asymptotic(mod, lo) <= target_ser:
-            break
-        lo *= 0.25
-    else:
-        raise ArithmeticError("failed to bracket the SER floor from below")
-    for _ in range(2000):
-        if ser_asymptotic(mod, hi) >= target_ser:
-            break
-        hi *= 4.0
-    else:
-        raise ArithmeticError("failed to bracket the SER floor from above")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * mid:
-            break
-        if ser_asymptotic(mod, mid) < target_ser:
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ser_asymptotic(mod, _positive_double(mid)) <= target_ser:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _positive_double(lo)

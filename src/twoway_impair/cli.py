@@ -199,13 +199,16 @@ def _resolve_modulation(args) -> Modulation:
     return MODULATIONS[args.modulation]
 
 
+def _floor_inputs(base: SystemConfig, direction: Direction, powers):
+    """(r*omega_i, omega_ri, c): a coupling keeps p_i = r*p_ri, so its floors are those at r*omega_i."""
+    p_i, p_ri, _, om_i, om_ri = model.link_params(base, direction, powers)
+    return p_i[0] / p_ri[0] * om_i, om_ri, model.derived_constants(base, direction).c
+
+
 def _cmd_op_curve(args) -> int:
     base, direction, grid, powers = _sweep(args)
     query = OutageQuery(args.x, direction)
-    p_i, p_ri, _, om_i, om_ri = model.link_params(base, direction, powers)
-    c = model.derived_constants(base, direction).c
-    # with p_i = r*p_ri the floor is the equal-power one with r*omega_i
-    floor = float(analytic.outage_asymptotic(p_i[0] / p_ri[0] * om_i, om_ri, c, args.x))
+    floor = float(analytic.outage_asymptotic(*_floor_inputs(base, direction, powers), args.x))
 
     values = analytic.outage_sweep(base, query, powers)
     estimates = montecarlo.mc_outage_sweep(base, query, powers, _mc_config(args)) if args.mc else None
@@ -220,12 +223,10 @@ def _cmd_ser_curve(args) -> int:
     if args.mc and args.mc_route == "signal" and (mod.alpha, mod.beta) != (1.0, 1.0):
         raise ValueError("--mc-route signal simulates BPSK only (alpha=beta=1)")
 
-    c = model.derived_constants(base, direction).c
+    om_i, om_ri, c = _floor_inputs(base, direction, powers)
     comments: list[str] = []
     floor = None
     if c > 0:
-        p_i, p_ri, _, om_i, om_ri = model.link_params(base, direction, powers)
-        om_i *= p_i[0] / p_ri[0]  # as in op-curve
         if om_i == om_ri:
             floor = analytic.ser_asymptotic(mod, c)
         else:

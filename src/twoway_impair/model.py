@@ -46,6 +46,13 @@ __all__ = [
 ]
 
 
+def _check_positive(**values: float):
+    """Reject, by name and value, any of the values that is not finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ImpairmentPair:
     """Relay EVM levels: kappa_t on the transmit side, kappa_r on the receive side."""
@@ -104,12 +111,8 @@ class SystemConfig:
     assumed_kappa_r: float | None = None
 
     def __post_init__(self):
-        for name in ("p1", "p2", "p3", "n1", "n2", "n3", "omega1", "omega2"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        _check_positive(**{name: getattr(self, name)
+                           for name in ("p1", "p2", "p3", "n1", "n2", "n3", "omega1", "omega2")})
         if self.assumed_kappa_r is not None:
             if not math.isfinite(self.assumed_kappa_r):
                 raise ValueError(f"assumed_kappa_r must be finite, got {self.assumed_kappa_r!r}")
@@ -282,8 +285,7 @@ class HighPowerRegime:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be strictly positive")
+        _check_positive(tau=self.tau)
 
 
 def relaying_gain_asymptotic(regime: HighPowerRegime, rho1, rho2, kappa_r: float):
@@ -303,8 +305,7 @@ def optimal_split(kappa_tot: float) -> ImpairmentPair:
     the fixed-sum constraint (for budgets below 2, which covers any real
     EVM): same-quality hardware on both sides is optimal.
     """
-    if not kappa_tot > 0:
-        raise ValueError("kappa_tot must be strictly positive")
+    _check_positive(kappa_tot=kappa_tot)
     half = 0.5 * kappa_tot
     return ImpairmentPair(half, half)
 

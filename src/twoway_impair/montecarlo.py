@@ -26,13 +26,14 @@ mc_ser_expectation and mc_ser_signal_level are one-point sweeps.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
 
 from .analytic import Modulation, OutageQuery, _own_powers, _sweep_powers
-from .model import Direction, SystemConfig, relaying_gain, sndr, sndr_asymptotic
+from .model import Direction, SystemConfig, _check_positive, relaying_gain, sndr, sndr_asymptotic
 
 __all__ = [
     "BLOCK",
@@ -75,10 +76,10 @@ class McConfig:
     confidence: float = 0.95
 
     def __post_init__(self):
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < _MAX_SEED):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not (isinstance(self.n_samples, numbers.Integral) and self.n_samples >= 1):
+            raise ValueError(f"n_samples must be a positive integer, got {self.n_samples!r}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
 
@@ -350,20 +351,10 @@ def mc_ser_signal_level(config: SystemConfig, direction: Direction, mc: McConfig
     return mc_ser_signal_level_sweep(config, direction, _own_powers(config), mc)[0]
 
 
-def mc_outage_asymptotic(
-    omega1: float,
-    omega2: float,
-    direction: Direction,
-    c: float,
-    x: float,
-    mc: McConfig,
-) -> McEstimate:
+def mc_outage_asymptotic(omega1: float, omega2: float, direction: Direction, c: float, x: float,
+                         mc: McConfig) -> McEstimate:
     """Estimate the high-power outage floor Pr{rho_ri / ((rho1+rho2) c) <= x} directly."""
-    if not c > 0:
-        raise ValueError("asymptotic outage sampling requires c > 0")
-    if not x > 0:
-        raise ValueError("threshold must be strictly positive")
-
+    _check_positive(omega1=omega1, omega2=omega2, c=c, x=x)
     (count,) = _block_sums(mc, [x], _gains(omega1, omega2),
                            lambda x, gains: np.count_nonzero(sndr_asymptotic(direction, *gains, c) <= x))
     return _proportion_estimate(int(count), mc)

@@ -1,6 +1,9 @@
 """Outage probability, SER quadrature, asymptotic floors, and inversions."""
 
 import math
+import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -540,3 +543,70 @@ def test_inversions_round_trip_randomized():
         target = float(rng.uniform(1e-3, 0.45))
         c = invert_impairment_for_ser(target, BPSK)
         assert abs(ser_asymptotic(BPSK, c) / target - 1.0) <= 1e-9
+
+
+def test_invert_ser_returns_the_largest_severity_within_the_target():
+    # the bisection ends on adjacent doubles, so the floor at the returned c
+    # meets the target and the floor one double above it does not
+    rng = np.random.default_rng(1718)
+    solved = infeasible = 0
+    for _ in range(600):
+        mod = Modulation(float(10 ** rng.uniform(-1.0, 1.0)), float(10 ** rng.uniform(-12.0, 12.0)))
+        top = math.nextafter(0.5 * mod.alpha, 0.0)
+        target = top if rng.random() < 0.1 else min(float(10 ** rng.uniform(-320.0, 0.0)), top)
+        try:
+            c = invert_impairment_for_ser(target, mod)
+        except InfeasibleTargetError:
+            infeasible += 1
+            low, high = ser_asymptotic(mod, math.ulp(0.0)), ser_asymptotic(mod, sys.float_info.max)
+            assert not low <= target < high, (mod, target)
+            continue
+        solved += 1
+        assert ser_asymptotic(mod, c) <= target < ser_asymptotic(mod, math.nextafter(c, math.inf)), (mod, target)
+    assert solved >= 500 and infeasible >= 1, (solved, infeasible)
+
+
+def test_ser_floor_is_finite_at_every_positive_double():
+    rng = np.random.default_rng(99)
+    bits = np.concatenate([[1, 0x7FEFFFFFFFFFFFFF], rng.integers(1, 0x7FEFFFFFFFFFFFFF, 2000)])
+    for mod in (BPSK, Modulation(1.0, 1e-12), Modulation(1.0, 1e12), Modulation(4.0, 1e-12)):
+        for c in bits.astype(np.int64).view(np.float64).tolist():
+            assert 0.0 <= ser_asymptotic(mod, c) <= 0.5 * mod.alpha, (mod, c)
+
+
+def test_one_small_c_rule_serves_both_ser_floors():
+    # where c/beta is tiny both floors are the limit (omega_i/omega_ri)*alpha*c/(4*beta),
+    # exact to rounding; the quadrature used to run there and miss it by up to 5e-11
+    for mod in (Modulation(1.0, 1e-8), BPSK, Modulation(0.75, 3.0)):
+        for c in (2.35e-315, 4.85552188e-315, 1e-300 * mod.beta, 1e-200 * mod.beta, 1e-17 * mod.beta):
+            for omega_i, omega_ri in ((1.0, 2.0), (3.0, 1.0), (1.0, 1.0)):
+                exact = Fraction(omega_i) / Fraction(omega_ri) * Fraction(mod.alpha) * Fraction(c) / (
+                    4 * Fraction(mod.beta))
+                if exact < Fraction(sys.float_info.min):
+                    continue  # a subnormal floor has no relative precision to check
+                got = ser_floor_quadrature(mod, omega_i, omega_ri, c)
+                assert abs(Fraction(got) / exact - 1) <= 2.0**-52, (mod, c, omega_i, omega_ri)
+            assert ser_floor_quadrature(mod, 1.0, 1.0, c) == ser_asymptotic(mod, c)
+
+
+def test_the_quadrature_floor_meets_its_limit_where_the_rule_switches():
+    # the rule takes the limit once (c/beta)(1 + (3/2)|r - 1|) <= 2^-53; just
+    # above that the quadrature runs and must agree with the limit
+    for mod in (BPSK, Modulation(2.0, 0.5)):
+        for ratio in (0.01, 0.5, 2.0, 100.0):
+            switch = 2.0**-53 / (1.0 + 1.5 * abs(ratio - 1.0)) * mod.beta
+            below, above = switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)
+            per_c = [ser_floor_quadrature(mod, ratio, 1.0, c) / c for c in (below, above)]
+            assert per_c[0] == ratio * mod.alpha / (4.0 * mod.beta)
+            assert abs(per_c[1] / per_c[0] - 1.0) <= analytic.SER_REL_TOL, (mod, ratio, per_c)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: outage_asymptotic(1.0, 1.0, math.nan, 1.0), "c must be finite and positive, got nan"),
+    (lambda: outage_asymptotic(math.inf, 1.0, 0.1, 1.0), "omega_i must be finite and positive, got inf"),
+    (lambda: ser_floor_quadrature(BPSK, math.inf, 1.0, 0.1), "omega_i must be finite and positive, got inf"),
+    (lambda: ser_floor_quadrature(BPSK, 2.0, 1.0, math.nan), "c must be finite and positive, got nan"),
+], ids=["outage-nan-c", "outage-inf-gain", "ser-inf-gain", "ser-nan-c"])
+def test_floors_reject_bad_input_naming_it(call, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        call()

@@ -320,6 +320,16 @@ def test_invert_infeasible_targets():
     assert run_cli(["invert", "op", "--target", "0.5", "--x", "1e-320"]) == 2  # c overflows
 
 
+def test_invert_ser_at_the_ends_of_the_severity_range(capsys):
+    # no positive severity has a floor as low as 1e-320 when alpha/(4*beta) is 5e9
+    assert run_cli(["invert", "ser", "--target", "1e-320", "--alpha", "2", "--beta", "1e-10"]) == 2
+    assert "no positive severity meets target SER 1e-320" in capsys.readouterr().err
+    # the bound lies near 4e299, and the floor there still meets the target
+    assert run_cli(["invert", "ser", "--target", "0.1", "--alpha", "1", "--beta", "1e300"]) == 0
+    fields = dict(part.rsplit(" = ", 1) for part in capsys.readouterr().out.strip().split("  "))
+    assert float(fields["forward_check"]) <= 0.1
+
+
 @pytest.mark.parametrize("argv,name", [
     (["ser-curve", "--alpha", "inf", "--beta", "1"], "alpha"),
     (["ser-curve", "--alpha", "1", "--beta", "inf"], "beta"),

@@ -1,6 +1,7 @@
 """Sampling correctness, reproducibility, and agreement with the closed forms."""
 
 import math
+import re
 import threading
 from dataclasses import replace
 from statistics import NormalDist
@@ -77,6 +78,14 @@ def test_mc_config_validation():
         McConfig(seed=0, n_samples=0)
     with pytest.raises(ValueError):
         McConfig(seed=0, confidence=1.0)
+
+
+def test_mc_config_rejects_a_seed_or_sample_count_that_is_not_an_integer():
+    # a float seed would run the stream of its integer part under its own name
+    with pytest.raises(ValueError, match=re.escape("seed must be an integer in [0, 2**64), got 1.7")):
+        McConfig(seed=1.7)
+    with pytest.raises(ValueError, match="n_samples must be a positive integer, got 5000.5"):
+        McConfig(seed=1, n_samples=5000.5)
 
 
 def test_determinism_across_runs():
@@ -356,6 +365,15 @@ def test_mc_outage_asymptotic_fig2_anchor():
 def test_mc_outage_asymptotic_above_ceiling_is_certain():
     est = mc_outage_asymptotic(2.0, 1.0, D1, 0.0816, 31.0, McConfig(seed=14, n_samples=10**5))
     assert est.mean == 1.0
+
+
+@pytest.mark.parametrize("omega1, text", [
+    (math.nan, "omega1 must be finite and positive, got nan"),
+    (-1.0, "omega1 must be finite and positive, got -1.0"),
+], ids=["nan-gain", "negative-gain"])
+def test_mc_outage_asymptotic_rejects_bad_input_naming_it(omega1, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        mc_outage_asymptotic(omega1, 1.0, D1, 0.1, 1.0, McConfig(seed=1, n_samples=1000))
 
 
 def test_wilson_interval_properties():

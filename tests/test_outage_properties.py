@@ -9,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from twoway_impair.analytic import OutageQuery, outage_asymptotic, outage_probability, outage_sweep
+from twoway_impair.analytic import (
+    MODULATIONS,
+    SER_REL_TOL,
+    OutageQuery,
+    outage_asymptotic,
+    outage_probability,
+    outage_sweep,
+    ser_asymptotic,
+    ser_floor_quadrature,
+    ser_sweep,
+)
 from twoway_impair.model import (
     Direction,
     ImpairmentPair,
@@ -41,6 +51,7 @@ def links(draw, assumed=st.one_of(st.none(), evm)):
 
 
 directions = st.sampled_from([Direction(1), Direction(2)])
+BPSK = MODULATIONS["bpsk"]
 
 
 def ceiling_coefficient(config):
@@ -175,3 +186,31 @@ def test_outage_falls_to_the_floor_of_any_coupling(kt, kr, assumed, logs, log_m2
     assert all(later <= earlier * (1.0 + SWEEP_SLACK) for earlier, later in zip(values, values[1:]))
     assert all(value >= floor * (1.0 - SWEEP_SLACK) for value in values)
     assert abs(values[-1] - floor) <= 1e-6
+
+
+# Two quadratures, the SER and the unequal-gain floor, each within SER_REL_TOL.
+SER_SLACK = SER_REL_TOL
+# How far above its floor the SER may still be at 160 dBW, relative.
+SER_END_GAP = 1e-6
+
+
+@PROPERTY
+@given(st.floats(1e-3, 0.4), st.floats(0.0, 0.4), st.one_of(st.none(), st.floats(0.0, 0.4)),
+       st.lists(log_unit, min_size=5, max_size=5), log_multiplier, log_multiplier, directions)
+def test_ser_falls_to_the_floor_of_any_coupling(kt, kr, assumed, logs, log_m2, log_m3, direction):
+    # the SER half of the coupling property: along p1 with p2 = m2*p1 and
+    # p3 = m3*p1 the SER does not increase, stays at or above the SER floor at
+    # r*omega_i and ends on it
+    n1, n2, n3, omega1, omega2 = (10.0**v for v in logs)
+    m2, m3 = 10.0**log_m2, 10.0**log_m3
+    config = SystemConfig(p1=1.0, p2=m2, p3=m3, n1=n1, n2=n2, n3=n3, omega1=omega1, omega2=omega2,
+                          relay_impairments=ImpairmentPair(kt, kr), assumed_kappa_r=assumed)
+    c = derived_constants(config, direction).c
+    powers = (P1_SWEEP, m2 * P1_SWEEP, m3 * P1_SWEEP)
+    p_i, p_ri, _, om_i, om_ri = link_params(config, direction, powers)
+    om_i *= p_i[0] / p_ri[0]
+    floor = ser_asymptotic(BPSK, c) if om_i == om_ri else ser_floor_quadrature(BPSK, om_i, om_ri, c)
+    values = ser_sweep(config, direction, BPSK, powers)
+    assert all(later <= earlier * (1.0 + SER_SLACK) for earlier, later in zip(values, values[1:]))
+    assert all(value >= floor * (1.0 - SER_SLACK) for value in values)
+    assert values[-1] <= floor * (1.0 + SER_END_GAP + SER_SLACK)

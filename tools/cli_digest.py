@@ -25,7 +25,11 @@ the ceiling, outage curves at x = 1e-20 and SER curves at 100 ... 160 dBW on
 ideal and near-ideal relays, where both are tiny, uneven couplings
 (p2 = 4 p1, p2 = p1/4) at powers where the curves have met their floors,
 SER curves on a relay of subnormal severity (EVM 1e-160, equal and unequal
-gains), and an outage curve at a NaN threshold.
+gains), an outage curve at a NaN threshold, SER inversions at the ends of
+the positive doubles (a target below the floor of ulp(0.0), a bound near
+float max, a target one double below alpha/2, and `--beta` without
+`--alpha`), and an SER curve at beta = 1e-8 on a relay of near-subnormal
+severity (c ~ 2.35e-315) with gains 1:2, whose floor is its small-c limit.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ CONFIGS = {
 SUBNORMAL_CONFIGS = {
     "subnormal.cfg": {"kappa3t": "1e-160", "kappa3r": "1e-160"},
     "subnormal_equal_gains.cfg": {"omega1": "1", "omega2": "1", "kappa3t": "1e-160", "kappa3r": "1e-160"},
+}
+# c ~ 2.35e-315 with gains 1:2; serves only the last command of the matrix.
+NEAR_SUBNORMAL_CONFIGS = {
+    "near_subnormal.cfg": {"omega1": "1", "omega2": "2", "kappa3t": "3.43e-158", "kappa3r": "3.43e-158"},
 }
 COUPLING = "p2=p1*2, p3=p1/3"
 
@@ -128,6 +136,14 @@ def matrix() -> list[list[str]]:
             [*sweep, "--alpha", "1", "--beta", "1e8"],
         ]
     commands.append(["op-curve", "--config", "matched.cfg", "--x", "nan", "--p1-dbw", "0", "40"])
+    commands += [
+        ["invert", "ser", "--target", "1e-320", "--alpha", "2", "--beta", "1e-10"],
+        ["invert", "ser", "--target", "0.1", "--beta", "1e300"],
+        ["invert", "ser", "--target", "0.1", "--alpha", "1", "--beta", "1e300"],
+        ["invert", "ser", "--target", "0.4999999999999999"],
+        ["ser-curve", "--config", "near_subnormal.cfg", "--p1-dbw", "0", "40", "--points", "3",
+         "--alpha", "1", "--beta", "1e-8"],
+    ]
     return commands
 
 
@@ -155,7 +171,7 @@ def main_digest() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, overrides in {**CONFIGS, **SUBNORMAL_CONFIGS}.items():
+            for name, overrides in {**CONFIGS, **SUBNORMAL_CONFIGS, **NEAR_SUBNORMAL_CONFIGS}.items():
                 with open(name, "w", encoding="utf-8") as handle:
                     handle.writelines(f"{k} = {v}\n" for k, v in {**BASE, **overrides}.items())
             for argv in matrix():
