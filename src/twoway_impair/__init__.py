@@ -1,20 +1,18 @@
 """Outage and symbol-error analysis of two-way AF relaying with relay hardware impairments.
 
-Submodules:
-    specfun     special-function kernels (array K1; erfc, incomplete gamma, Q)
-    model       system configuration and instantaneous SNDR math
-    analytic    exact/asymptotic outage probability, SER quadrature, inversions,
-                each for one point or a whole power sweep
-    montecarlo  reproducible block-wise Monte-Carlo estimators, each for one
-                point or a whole power sweep
+Submodules, each importing only modules listed above it:
+    specfun     special-function kernels (array K1 and log(z*K1); erfc, incomplete gamma, Q)
+    model       every input rule: configuration, query and modulation types, checked power
+                sweeps; the instantaneous SNDR and its high-power limits
+    analytic    closed-form outage and its floor, SER quadrature and floors, inversions;
+                each for one point or a whole power sweep, from specfun and model
+    montecarlo  block-wise Monte-Carlo estimators of the same quantities from model alone,
+                an independent check of analytic; each for one point or a power sweep
     cli         command-line curve sweeps, validation runs, and inversion queries
 """
 
 from .analytic import (
-    MODULATIONS,
     InfeasibleTargetError,
-    Modulation,
-    OutageQuery,
     QuadratureError,
     invert_impairment_for_op,
     invert_impairment_for_ser,
@@ -27,10 +25,13 @@ from .analytic import (
     ser_sweep,
 )
 from .model import (
+    MODULATIONS,
     Direction,
     DerivedConstants,
     HighPowerRegime,
     ImpairmentPair,
+    Modulation,
+    OutageQuery,
     SystemConfig,
     derived_constants,
     equal_split_kappa,

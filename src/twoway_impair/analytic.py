@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .model import Direction, SystemConfig, _check_positive, derived_constants, link_params
+from .model import (MODULATIONS, Direction, Modulation, OutageQuery, SystemConfig, _check_positive,
+                    _own_powers, _sweep_powers, derived_constants, link_params)
 
 __all__ = [
     "Modulation",
@@ -59,50 +59,6 @@ class QuadratureError(ArithmeticError):
 
 class InfeasibleTargetError(ValueError):
     """Requested performance target is outside the achievable range."""
-
-
-@dataclass(frozen=True)
-class Modulation:
-    """Constants (alpha, beta) of the conditional error rate alpha*Q(sqrt(2*beta*snr))."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        _check_positive(alpha=self.alpha, beta=self.beta)
-
-
-MODULATIONS = {
-    "bpsk": Modulation(alpha=1.0, beta=1.0),
-}
-
-
-@dataclass(frozen=True)
-class OutageQuery:
-    """Outage threshold (linear SNDR) and detection direction."""
-
-    x: float
-    direction: Direction
-
-    def __post_init__(self):
-        if not self.x >= 0:
-            raise ValueError(f"outage threshold must be a number >= 0, got {self.x!r}")
-
-
-def _sweep_powers(powers):
-    """The (p1, p2, p3) arrays of a power sweep, checked: equal length, finite, positive."""
-    p1, p2, p3 = (np.atleast_1d(np.asarray(p, dtype=float)) for p in powers)
-    if not (p1.ndim == 1 and p1.shape == p2.shape == p3.shape and p1.size):
-        raise ValueError("a power sweep needs three nonempty 1-D arrays of equal length")
-    for name, p in (("p1", p1), ("p2", p2), ("p3", p3)):
-        if not np.all(np.isfinite(p) & (p > 0.0)):
-            raise ValueError(f"{name} must be finite and strictly positive at every sweep point")
-    return p1, p2, p3
-
-
-def _own_powers(config: SystemConfig):
-    """A one-point sweep at the config's own powers."""
-    return np.array([config.p1]), np.array([config.p2]), np.array([config.p3])
 
 
 def _closed_form(config: SystemConfig, direction: Direction, powers):

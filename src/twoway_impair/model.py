@@ -3,9 +3,10 @@
 Two terminals T1, T2 exchange symbols through an amplify-and-forward relay R
 whose transceiver adds power-proportional Gaussian distortion noise on both
 the receive side (EVM level kappa_r) and the transmit side (kappa_t).  This
-module holds the configuration types, the per-direction derived constants,
-the variable relaying gain, the per-realization SNDR (two algebraically
-equivalent evaluation routes), and the high-power limits.
+module holds the configuration and query types with every input rule of the
+package, the per-direction derived constants, the variable relaying gain, the
+per-realization SNDR (two algebraically equivalent evaluation routes), and
+the high-power limits.
 
 One SNDR form covers every relay, whatever receive EVM kappa_hat_r its gain
 normalization assumes: kappa_hat_r enters only the constants of
@@ -31,6 +32,9 @@ __all__ = [
     "ImpairmentPair",
     "SystemConfig",
     "Direction",
+    "Modulation",
+    "MODULATIONS",
+    "OutageQuery",
     "DerivedConstants",
     "HighPowerRegime",
     "derived_constants",
@@ -53,6 +57,13 @@ def _check_positive(**values: float):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_nonnegative(**values: float):
+    """Reject, by name and value, any of the values that is not finite and >= 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ImpairmentPair:
     """Relay EVM levels: kappa_t on the transmit side, kappa_r on the receive side."""
@@ -61,10 +72,7 @@ class ImpairmentPair:
     kappa_r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa_t) and math.isfinite(self.kappa_r)):
-            raise ValueError(f"EVM levels must be finite, got ({self.kappa_t!r}, {self.kappa_r!r})")
-        if self.kappa_t < 0 or self.kappa_r < 0:
-            raise ValueError("EVM levels must be nonnegative")
+        _check_nonnegative(kappa_t=self.kappa_t, kappa_r=self.kappa_r)
 
     def aggregate(self) -> float:
         """Aggregate EVM sqrt(kappa_t^2 + kappa_r^2).
@@ -114,10 +122,7 @@ class SystemConfig:
         _check_positive(**{name: getattr(self, name)
                            for name in ("p1", "p2", "p3", "n1", "n2", "n3", "omega1", "omega2")})
         if self.assumed_kappa_r is not None:
-            if not math.isfinite(self.assumed_kappa_r):
-                raise ValueError(f"assumed_kappa_r must be finite, got {self.assumed_kappa_r!r}")
-            if self.assumed_kappa_r < 0:
-                raise ValueError("assumed_kappa_r must be nonnegative")
+            _check_nonnegative(assumed_kappa_r=self.assumed_kappa_r)
 
     @property
     def kappa_t(self) -> float:
@@ -149,6 +154,51 @@ class Direction:
     def r_i(self) -> int:
         """Index of the partner terminal whose symbol is being detected."""
         return 2 // self.i
+
+
+@dataclass(frozen=True)
+class Modulation:
+    """Constants (alpha, beta) of the conditional error rate alpha*Q(sqrt(2*beta*snr))."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        _check_positive(alpha=self.alpha, beta=self.beta)
+
+
+MODULATIONS = {
+    "bpsk": Modulation(alpha=1.0, beta=1.0),
+}
+
+
+@dataclass(frozen=True)
+class OutageQuery:
+    """Outage threshold (linear SNDR) and detection direction."""
+
+    x: float
+    direction: Direction
+
+    def __post_init__(self):
+        # x = inf is a legal threshold: every draw is in outage
+        if not self.x >= 0:
+            raise ValueError(f"outage threshold must be a number >= 0, got {self.x!r}")
+
+
+def _sweep_powers(powers):
+    """The (p1, p2, p3) arrays of a power sweep, checked: equal length, finite, positive."""
+    p1, p2, p3 = (np.atleast_1d(np.asarray(p, dtype=float)) for p in powers)
+    if not (p1.ndim == 1 and p1.shape == p2.shape == p3.shape and p1.size):
+        raise ValueError("a power sweep needs three nonempty 1-D arrays of equal length")
+    for name, p in (("p1", p1), ("p2", p2), ("p3", p3)):
+        if not np.all(np.isfinite(p) & (p > 0.0)):
+            raise ValueError(f"{name} must be finite and strictly positive at every sweep point")
+    return p1, p2, p3
+
+
+def _own_powers(config: SystemConfig):
+    """A one-point sweep at the config's own powers."""
+    return np.array([config.p1]), np.array([config.p2]), np.array([config.p3])
 
 
 @dataclass(frozen=True)
@@ -265,16 +315,14 @@ def sndr_asymptotic(direction: Direction, rho1, rho2, c: float):
     channel-gain ratio survive, so the limit stays random: performance
     floors follow.
     """
-    if not c > 0:
-        raise ValueError("asymptotic SNDR is unbounded for ideal hardware (c = 0)")
+    _check_positive(c=c)  # ideal hardware (c = 0) has no limit
     _, rho_ri = _rho_roles(direction, rho1, rho2)
     return rho_ri / ((rho1 + rho2) * c)
 
 
 def sndr_ceiling(c: float) -> float:
     """Hard upper bound 1/c on the SNDR, independent of transmit power."""
-    if not c > 0:
-        raise ValueError("no SNDR ceiling under ideal hardware (c = 0)")
+    _check_positive(c=c)  # ideal hardware (c = 0) has no ceiling
     return 1.0 / c
 
 
@@ -294,6 +342,7 @@ def relaying_gain_asymptotic(regime: HighPowerRegime, rho1, rho2, kappa_r: float
     Finite and strictly positive, which is what keeps the relay's distortion
     from being amplified away in the high-power regime.
     """
+    _check_nonnegative(kappa_r=kappa_r)
     return np.sqrt(1.0 / (regime.tau * (rho1 + rho2) * (1.0 + kappa_r**2)))
 
 
@@ -316,6 +365,5 @@ def equal_split_kappa(c: float) -> float:
     Inverts c = 2 kappa^2 + kappa^4 to kappa = sqrt(sqrt(1 + c) - 1),
     written as sqrt(c / (1 + sqrt(1 + c))) so that small c does not cancel.
     """
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    _check_nonnegative(c=c)
     return float(np.sqrt(c / (1.0 + np.sqrt(1.0 + c))))

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import Modulation, OutageQuery, _own_powers, _sweep_powers
-from .model import Direction, SystemConfig, _check_positive, relaying_gain, sndr, sndr_asymptotic
+from .model import (Direction, Modulation, OutageQuery, SystemConfig, _check_positive, _own_powers,
+                    _sweep_powers, relaying_gain, sndr, sndr_asymptotic)
 
 __all__ = [
     "BLOCK",
@@ -136,6 +135,14 @@ def sample_channel_gains(rng: np.random.Generator, omega1: float, omega2: float,
     return rho1, rho2
 
 
+def _normal_quantile(confidence: float) -> float:
+    """z of a two-sided central interval of the given confidence under the standard normal."""
+    # Imported here, so that only the Monte-Carlo commands load statistics.
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(0.5 + 0.5 * confidence)
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
     """Wilson score interval for a binomial proportion.
 
@@ -147,7 +154,9 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    z = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials = {trials!r}], got {successes!r}")
+    z = _normal_quantile(confidence)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
@@ -183,13 +192,8 @@ def _gains(omega1: float, omega2: float):
 
 def _proportion_estimate(successes: int, mc: McConfig) -> McEstimate:
     lo, hi = wilson_interval(successes, mc.n_samples, mc.confidence)
-    return McEstimate(
-        mean=successes / mc.n_samples,
-        ci_low=lo,
-        ci_high=hi,
-        n_samples=mc.n_samples,
-        seed=mc.seed,
-    )
+    return McEstimate(mean=successes / mc.n_samples, ci_low=lo, ci_high=hi,
+                      n_samples=mc.n_samples, seed=mc.seed)
 
 
 def mc_outage_sweep(config: SystemConfig, query: OutageQuery, powers, mc: McConfig) -> list[McEstimate]:
@@ -220,17 +224,11 @@ def _mean_estimate(total: float, total_sq: float, bound: float, mc: McConfig) ->
     mean = total / n
     if n > 1:
         variance = max(0.0, (total_sq - total * total / n) / (n - 1))
-        z = NormalDist().inv_cdf(0.5 + 0.5 * mc.confidence)
-        margin = z * np.sqrt(variance / n)
+        margin = _normal_quantile(mc.confidence) * np.sqrt(variance / n)
     else:
         margin = bound
-    return McEstimate(
-        mean=mean,
-        ci_low=max(0.0, mean - margin),
-        ci_high=min(bound, mean + margin),
-        n_samples=n,
-        seed=mc.seed,
-    )
+    return McEstimate(mean=mean, ci_low=max(0.0, mean - margin), ci_high=min(bound, mean + margin),
+                      n_samples=n, seed=mc.seed)
 
 
 def mc_ser_expectation_sweep(

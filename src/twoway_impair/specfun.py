@@ -174,6 +174,8 @@ def lower_incomplete_gamma(p: float, x: float) -> float:
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:  # root * e^(-x) would be inf * 0
+        return 0.5 * math.sqrt(math.pi)
     if x < 2.5:
         term = total = 1.0 / p
         n = 0

@@ -234,6 +234,17 @@ def test_ser_curve_asymmetric_gains_labels_extension(tmp_path):
     assert "extension" in lines[1] and lines[1].startswith("#")
 
 
+@pytest.mark.parametrize("kappa, route", [("0.1", "# asymptote: quadrature over the asymptotic outage CDF"),
+                                          ("1e-9", "# asymptote: small-c limit")])
+def test_ser_curve_comment_names_the_floor_route_taken(tmp_path, kappa, route):
+    # omega 2:1; at EVM 1e-9 the floor is its small-c limit and no quadrature runs
+    cfg = cfg_with(tmp_path, kappa3t=kappa, kappa3r=kappa)
+    out = tmp_path / "ser.csv"
+    assert run_cli(["ser-curve", "--config", cfg, "--p1-dbw", "0", "30",
+                    "--points", "3", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1].startswith(route)
+
+
 def test_ser_curve_rejects_unknown_modulation(tmp_path):
     cfg = cfg_with(tmp_path)
     assert run_cli(["ser-curve", "--config", cfg, "--modulation", "qam64",
@@ -518,6 +529,18 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c",
          "import sys, twoway_impair; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_statistics():
+    # only the Monte-Carlo intervals need the normal quantile
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, twoway_impair.cli; "
+         "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

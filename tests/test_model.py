@@ -1,6 +1,7 @@
 """SNDR math: derived constants, relaying gain, dual evaluation routes, limits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,3 +278,27 @@ def test_link_params_role_selection():
     cfg = unit_config(p1=10.0, p2=20.0, n1=3.0, n2=4.0, omega1=0.5, omega2=2.0)
     assert link_params(cfg, D1) == (10.0, 20.0, 3.0, 0.5, 2.0)
     assert link_params(cfg, D2) == (20.0, 10.0, 4.0, 2.0, 0.5)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sndr_ceiling(INF), "c must be finite and positive, got inf"),
+    (lambda: sndr_ceiling(NAN), "c must be finite and positive, got nan"),
+    (lambda: sndr_asymptotic(D1, 1.0, 1.0, NAN), "c must be finite and positive, got nan"),
+    (lambda: sndr_asymptotic(D1, 1.0, 1.0, INF), "c must be finite and positive, got inf"),
+    (lambda: equal_split_kappa(NAN), "c must be finite and nonnegative, got nan"),
+    (lambda: equal_split_kappa(INF), "c must be finite and nonnegative, got inf"),
+    (lambda: equal_split_kappa(-1e-300), "c must be finite and nonnegative, got -1e-300"),
+    (lambda: relaying_gain_asymptotic(HighPowerRegime(1.0), 0.5, 0.5, NAN),
+     "kappa_r must be finite and nonnegative, got nan"),
+    (lambda: ImpairmentPair(-0.1, 0.0), "kappa_t must be finite and nonnegative, got -0.1"),
+    (lambda: ImpairmentPair(0.1, INF), "kappa_r must be finite and nonnegative, got inf"),
+    (lambda: unit_config(assumed_kappa_r=NAN), "assumed_kappa_r must be finite and nonnegative, got nan"),
+])
+def test_non_finite_or_negative_input_is_rejected_by_name_and_value(call, message):
+    # one check per kind of number: a severity or EVM of inf or nan is no number
+    # the model can use, and it must not come back as 0.0, NaN or a claim of ideal hardware
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

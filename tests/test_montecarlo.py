@@ -387,6 +387,12 @@ def test_wilson_interval_properties():
         wilson_interval(0, 0)
 
 
+@pytest.mark.parametrize("successes", [5, -1, 4])
+def test_wilson_rejects_successes_outside_the_trials(successes):
+    with pytest.raises(ValueError, match=re.escape(f"successes must lie in [0, trials = 3], got {successes}")):
+        wilson_interval(successes, 3)
+
+
 def test_wilson_bounds_are_exact_at_the_ends():
     # the rounded formula gave an upper bound of 1 - 2^-53 at 20000 of 20000
     for trials in (1, 2, 3, 100, BLOCK + 1, 20000, 10**6):

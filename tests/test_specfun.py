@@ -197,6 +197,12 @@ def test_lower_incomplete_gamma_points():
             assert abs(specfun.lower_incomplete_gamma(1.5, x) / want - 1) <= 1e-15, x
 
 
+def test_lower_incomplete_gamma_at_infinity_is_the_complete_gamma():
+    # the docstring promises every x >= 0; sqrt(x) e^(-x) is inf * 0 there
+    assert specfun.lower_incomplete_gamma(1.5, math.inf) == 0.5 * math.sqrt(math.pi)
+    assert specfun.lower_incomplete_gamma(1.5, 1e300) == specfun.lower_incomplete_gamma(1.5, math.inf)
+
+
 def test_lower_incomplete_gamma_domain_errors():
     with pytest.raises(ValueError):
         specfun.lower_incomplete_gamma(0.0, 1.0)
