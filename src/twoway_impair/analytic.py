@@ -29,7 +29,7 @@ import numpy as np
 
 from . import specfun
 from .model import (MODULATIONS, Direction, Modulation, OutageQuery, SystemConfig, _check_positive,
-                    _own_powers, _sweep_powers, derived_constants, link_params)
+                    _check_threshold, _own_powers, _sweep_powers, derived_constants, link_params)
 
 __all__ = [
     "Modulation",
@@ -145,9 +145,7 @@ def outage_asymptotic(omega_i: float, omega_ri: float, c: float, x):
     1 at or above it, and 0 under ideal hardware where the outage vanishes
     asymptotically.
     """
-    x = np.asarray(x, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0: no floor of -0
-    if not np.all(x >= 0):
-        raise ValueError("outage threshold must be a number >= 0")
+    x = _check_threshold(x) + 0.0  # -0.0 + 0.0 is +0.0: no floor of -0
     _check_positive(omega_i=omega_i, omega_ri=omega_ri)
     if c == 0.0:
         return np.zeros(x.shape)[()]

@@ -64,6 +64,14 @@ def _check_nonnegative(**values: float):
             raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
+def _check_threshold(x):
+    """Outage thresholds x (a number or an array) as floats; names the first not >= 0 (inf is legal)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0):
+        raise ValueError(f"outage threshold must be a number >= 0, got {float(x[~(x >= 0)].flat[0])!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class ImpairmentPair:
     """Relay EVM levels: kappa_t on the transmit side, kappa_r on the receive side."""
@@ -180,9 +188,7 @@ class OutageQuery:
     direction: Direction
 
     def __post_init__(self):
-        # x = inf is a legal threshold: every draw is in outage
-        if not self.x >= 0:
-            raise ValueError(f"outage threshold must be a number >= 0, got {self.x!r}")
+        _check_threshold(self.x)
 
 
 def _sweep_powers(powers):

@@ -20,7 +20,8 @@ of the signal chain) and every sweep point, a SystemConfig with that
 point's powers, is tallied on them in turn (common random numbers): point k
 of a sweep equals the one-point estimate at its powers, bit for bit.  The
 signal chain is written once: simulate_signal_chain evaluates it at its
-config, the signal-level sweep at every point.  mc_outage,
+config, the signal-level sweep at every point, building only the seven
+arrays of SignalRealization from a block drawn in three calls.  mc_outage,
 mc_ser_expectation and mc_ser_signal_level are one-point sweeps.
 """
 
@@ -31,8 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (Direction, Modulation, OutageQuery, SystemConfig, _check_positive, _own_powers,
-                    _sweep_powers, relaying_gain, sndr, sndr_asymptotic)
+from .model import (Direction, Modulation, OutageQuery, SystemConfig, _check_positive, _check_threshold,
+                    _own_powers, _rho_roles, _sweep_powers, link_params, relaying_gain, sndr, sndr_asymptotic)
 
 __all__ = [
     "BLOCK",
@@ -98,10 +99,11 @@ class McEstimate:
 class SignalRealization:
     """One batch of sampled signal-chain variables (arrays of equal length).
 
-    y_i is the receiving terminal's sample after subtracting the relayed echo
-    of its own symbol (self-interference cancellation with known channel and
-    gain), nu_i that terminal's receiver noise; gain is the relay's variable
-    gain G for each realization.
+    The channels h1, h2, the BPSK symbols s1, s2 at their powers, the relay's
+    receive distortion eta_3r and variable gain G, and y_i, the receiving
+    terminal's sample after it subtracts the relayed echo of its own symbol
+    (known channel and gain); the noises and the transmit distortion are
+    not kept.
     """
 
     h1: np.ndarray
@@ -109,10 +111,6 @@ class SignalRealization:
     s1: np.ndarray
     s2: np.ndarray
     eta_3r: np.ndarray
-    eta_3t: np.ndarray
-    nu_i: np.ndarray
-    nu3: np.ndarray
-    y3: np.ndarray
     y_i: np.ndarray
     gain: np.ndarray
 
@@ -152,8 +150,10 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
     mathematically (Brown, Cai & DasGupta, Stat. Sci. 2001); the rounded
     formula misses them by an ulp or so.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(successes, numbers.Integral):
+        raise ValueError(f"successes must be an integer, got {successes!r}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in [0, trials = {trials!r}], got {successes!r}")
     z = _normal_quantile(confidence)
@@ -257,58 +257,51 @@ def mc_ser_expectation(config: SystemConfig, direction: Direction, mod: Modulati
     return mc_ser_expectation_sweep(config, direction, mod, _own_powers(config), mc)[0]
 
 
-def _cnormal(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussian samples."""
-    return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * np.sqrt(0.5)
+def _cnormal(rng: np.random.Generator, variances, count: int) -> np.ndarray:
+    """Complex Gaussians, a row of count per variance, from one draw: each row's real parts, then imaginary."""
+    parts = rng.standard_normal((len(variances), 2, count))
+    parts *= np.sqrt(0.5)  # the unit sample, then its scale: the two roundings of sqrt(v) * unit
+    parts *= np.sqrt(variances)[:, None, None]
+    samples = np.empty((len(variances), count), dtype=complex)
+    samples.real, samples.imag = parts[:, 0], parts[:, 1]
+    return samples
 
 
 def _signal_chain(rng: np.random.Generator, config: SystemConfig, direction: Direction, count: int):
     """Draw a block of the chain's power-free variables and return the chain over them.
 
-    The draws come in the stream's order: the two channels, the two symbol
-    signs, the relay noise, unit receive- and transmit-distortion samples,
-    then the receiving terminal's noise.  The returned chain(point) maps the
-    powers of `point`, a config that differs from `config` at most in p1, p2
-    and p3, to its SignalRealization; what does not depend on the powers is
-    computed here, once.
+    Three calls on the stream: the channels; the signs; the relay noise, unit
+    receive and transmit distortion and the receiving terminal's noise.
+    chain(point) maps the powers of `point`, a config that differs from
+    `config` at most in p1, p2 and p3, to its SignalRealization; what does
+    not depend on the powers is computed here, once.
     """
-    h1 = np.sqrt(config.omega1) * _cnormal(rng, count)
-    h2 = np.sqrt(config.omega2) * _cnormal(rng, count)
-    rho1 = np.abs(h1) ** 2
-    rho2 = np.abs(h2) ** 2
-    sign1 = 2.0 * rng.integers(0, 2, count) - 1.0
-    sign2 = 2.0 * rng.integers(0, 2, count) - 1.0
-    nu3 = np.sqrt(config.n3) * _cnormal(rng, count)
-    unit_3r = _cnormal(rng, count)
-    unit_3t = _cnormal(rng, count)
-    nu_i = np.sqrt(config.n1 if direction.i == 1 else config.n2) * _cnormal(rng, count)
-    h_i = h1 if direction.i == 1 else h2
+    h = _cnormal(rng, (config.omega1, config.omega2), count)
+    signs = 2.0 * rng.integers(0, 2, (2, count)) - 1.0
+    _, _, n_i, _, _ = link_params(config, direction)
+    nu3, unit_3r, unit_3t, nu_i = _cnormal(rng, (config.n3, 1.0, 1.0, n_i), count)
+    (h1, h2), (sign1, sign2), (rho1, rho2) = h, signs, np.abs(h) ** 2
+    h_i, _ = _rho_roles(direction, h1, h2)
     h_i2 = h_i**2
+    # a product with +-1 is exact, so h*sign*sqrt(p) is h*(sqrt(p)*sign) bit for bit
+    h1_sign1, h2_sign2 = h * signs
 
     def chain(point: SystemConfig) -> SignalRealization:
         s1 = np.sqrt(point.p1) * sign1
         s2 = np.sqrt(point.p2) * sign2
         eta_3r = np.sqrt(point.kappa_r**2 * (rho1 * point.p1 + rho2 * point.p2)) * unit_3r
-        y3 = h1 * s1 + h2 * s2 + eta_3r + nu3
+        y3 = h1_sign1 * np.sqrt(point.p1) + h2_sign2 * np.sqrt(point.p2) + eta_3r + nu3
         eta_3t = np.sqrt(point.kappa_t**2 * point.p3) * unit_3t
         gain = relaying_gain(point, rho1, rho2)
-        y_i = h_i * (gain * y3 + eta_3t) + nu_i - gain * h_i2 * (s1 if direction.i == 1 else s2)
-        return SignalRealization(
-            h1=h1, h2=h2, s1=s1, s2=s2,
-            eta_3r=eta_3r, eta_3t=eta_3t,
-            nu_i=nu_i, nu3=nu3,
-            y3=y3, y_i=y_i, gain=gain,
-        )
+        s_i, _ = _rho_roles(direction, s1, s2)
+        y_i = h_i * (gain * y3 + eta_3t) + nu_i - gain * h_i2 * s_i
+        return SignalRealization(h1=h1, h2=h2, s1=s1, s2=s2, eta_3r=eta_3r, y_i=y_i, gain=gain)
 
     return chain
 
 
-def simulate_signal_chain(
-    rng: np.random.Generator,
-    config: SystemConfig,
-    direction: Direction,
-    count: int,
-) -> SignalRealization:
+def simulate_signal_chain(rng: np.random.Generator, config: SystemConfig, direction: Direction,
+                          count: int) -> SignalRealization:
     """Simulate the two-slot relaying chain with BPSK symbols.
 
     First slot: both terminals transmit, the relay receives through Rayleigh
@@ -337,7 +330,8 @@ def mc_ser_signal_level_sweep(config: SystemConfig, direction: Direction, powers
     def errors(point, chain):
         sim = chain(point)
         stat = np.real(sim.y_i * np.conj(sim.gain * sim.h1 * sim.h2))
-        return np.count_nonzero((stat > 0) != ((sim.s1 if direction.r_i == 1 else sim.s2) > 0))
+        _, s_ri = _rho_roles(direction, sim.s1, sim.s2)
+        return np.count_nonzero((stat > 0) != (s_ri > 0))
 
     counts = _block_sums(mc, _sweep_points(config, powers),
                          lambda rng, count: _signal_chain(rng, config, direction, count), errors)
@@ -352,7 +346,8 @@ def mc_ser_signal_level(config: SystemConfig, direction: Direction, mc: McConfig
 def mc_outage_asymptotic(omega1: float, omega2: float, direction: Direction, c: float, x: float,
                          mc: McConfig) -> McEstimate:
     """Estimate the high-power outage floor Pr{rho_ri / ((rho1+rho2) c) <= x} directly."""
-    _check_positive(omega1=omega1, omega2=omega2, c=c, x=x)
+    _check_positive(omega1=omega1, omega2=omega2, c=c)
+    _check_threshold(x)
     (count,) = _block_sums(mc, [x], _gains(omega1, omega2),
                            lambda x, gains: np.count_nonzero(sndr_asymptotic(direction, *gains, c) <= x))
     return _proportion_estimate(int(count), mc)

@@ -15,10 +15,10 @@ z*K1(z) - 1; on z > 2 a Chebyshev fit of exp(z)*K1(z)*sqrt(z) in the
 variable 4/z - 1, summed by Clenshaw's recurrence, with coefficients
 recomputed from a high-precision reference (tools/gen_k1_coeffs.py).  Each
 recurrence is plain arithmetic that runs unchanged on a float or on an array
-of any shape; bessel_k1_scaled alone splits its input between the branches,
-and bessel_k1 is exp(-z) times it.  erfc, the Q-function and the incomplete
-gamma function take single numbers; they serve the closed-form floors and the
-quadrature's exact tail.
+of any shape; bessel_k1_scaled and log_zk1 split their input between the
+branches, and bessel_k1 is exp(-z) times bessel_k1_scaled.  erfc, the
+Q-function and the incomplete gamma function take single numbers; they serve
+the closed-form floors and the quadrature's exact tail.
 """
 
 from __future__ import annotations

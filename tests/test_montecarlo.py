@@ -1,5 +1,6 @@
 """Sampling correctness, reproducibility, and agreement with the closed forms."""
 
+import hashlib
 import math
 import re
 import threading
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from twoway_impair.analytic import MODULATIONS, Modulation, OutageQuery, outage_probability, ser
+from twoway_impair.analytic import (MODULATIONS, Modulation, OutageQuery, outage_asymptotic, outage_probability,
+                                    ser)
 from twoway_impair.model import Direction, ImpairmentPair, SystemConfig, relaying_gain, sndr
 from twoway_impair.montecarlo import (
     BLOCK,
@@ -133,6 +135,22 @@ def test_golden_two_block_tallies():
     mc = McConfig(seed=9, n_samples=n)
     assert mc_outage(fig_config(1e3), OutageQuery(31.0, D1), mc).mean * n == 4670
     assert mc_ser_signal_level(fig_config(10.0), D1, mc).mean * n == 535
+
+
+@pytest.mark.parametrize("assumed, direction, digest", [
+    (None, 1, "e15c2c7d3ed5c2c0a05a382788470eae4c11a9e942677e263b879ad99da2921f"),
+    (None, 2, "ca4d72b901b4405c88a2b4eeb57a82015cfe68a1e22a0b9e153235063d2c60a2"),
+    (0.3, 1, "5652bc15ce62cd15c2b5fb4efd20c93b8964b8f8239794bdb1c5e90eb0fd5fa4"),
+    (0.3, 2, "36a68b9641fab5504a27e2d840d85fbb3b297d188844553a03412867c9ec0a27"),
+], ids=["matched-1", "matched-2", "mismatched-1", "mismatched-2"])
+def test_golden_signal_chain_arrays(assumed, direction, digest):
+    # pinned so a last-bit move in the chain's arithmetic is caught, even one
+    # that leaves every tally in place
+    sim = simulate_signal_chain(chunk_rng(9, 1), fig_config(10.0, assumed=assumed), Direction(direction), BLOCK)
+    h = hashlib.sha256()
+    for name in ("h1", "h2", "s1", "s2", "eta_3r", "y_i", "gain"):
+        h.update(getattr(sim, name).tobytes())
+    assert h.hexdigest() == digest
 
 
 SWEEP_POWERS = {
@@ -367,6 +385,17 @@ def test_mc_outage_asymptotic_above_ceiling_is_certain():
     assert est.mean == 1.0
 
 
+def test_mc_outage_asymptotic_takes_the_thresholds_of_the_analytic_floor():
+    # x = 0 and x = inf are legal thresholds of both floors, and both name a NaN one
+    mc = McConfig(seed=1, n_samples=1000)
+    for x, floor in ((0.0, 0.0), (math.inf, 1.0)):
+        assert mc_outage_asymptotic(2.0, 1.0, D1, 0.1, x, mc).mean == outage_asymptotic(2.0, 1.0, 0.1, x) == floor
+    with pytest.raises(ValueError, match="threshold must be a number >= 0, got nan"):
+        outage_asymptotic(2.0, 1.0, 0.1, math.nan)
+    with pytest.raises(ValueError, match="threshold must be a number >= 0, got nan"):
+        mc_outage_asymptotic(2.0, 1.0, D1, 0.1, math.nan, mc)
+
+
 @pytest.mark.parametrize("omega1, text", [
     (math.nan, "omega1 must be finite and positive, got nan"),
     (-1.0, "omega1 must be finite and positive, got -1.0"),
@@ -385,12 +414,19 @@ def test_wilson_interval_properties():
     assert lo < 0.5 < hi
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+    assert wilson_interval(np.int64(1), np.uint32(3)) == wilson_interval(1, 3)
 
 
-@pytest.mark.parametrize("successes", [5, -1, 4])
-def test_wilson_rejects_successes_outside_the_trials(successes):
-    with pytest.raises(ValueError, match=re.escape(f"successes must lie in [0, trials = 3], got {successes}")):
-        wilson_interval(successes, 3)
+@pytest.mark.parametrize("successes, trials, text", [
+    (5, 3, "successes must lie in [0, trials = 3], got 5"),
+    (-1, 3, "successes must lie in [0, trials = 3], got -1"),
+    (4, 3, "successes must lie in [0, trials = 3], got 4"),
+    (1.5, 3, "successes must be an integer, got 1.5"),
+    (1, 2.5, "trials must be a positive integer, got 2.5"),
+], ids=["above", "negative", "one-above", "fractional-successes", "fractional-trials"])
+def test_wilson_rejects_successes_outside_the_trials(successes, trials, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        wilson_interval(successes, trials)
 
 
 def test_wilson_bounds_are_exact_at_the_ends():

@@ -11,6 +11,10 @@ against both trees and diff the two outputs:
     PYTHONPATH=<new tree>/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
+The digest compares exit codes and output bytes only.  A last-bit move
+inside the Monte-Carlo signal chain that leaves every tally in place does
+not show in it; tests/test_montecarlo.py pins the chain's arrays for that.
+
 The matrix covers matched and mismatched relays (kappa3r_assumed below and
 above the true receive EVM), ideal hardware, a near-ideal relay (EVM 1e-9,
 whose SER floor needs gamma(3/2, x) at x ~ 5e17), equal and unequal average
