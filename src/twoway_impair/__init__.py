@@ -41,7 +41,6 @@ from .model import (
     sndr,
     sndr_asymptotic,
     sndr_ceiling,
-    sndr_from_gain,
 )
 from .montecarlo import (
     McConfig,

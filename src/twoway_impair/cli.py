@@ -8,9 +8,13 @@ Subcommands
 
 Powers inside config files are linear watts; the only dB quantity is the
 sweep axis (dB relative to 1 W), converted exactly once at this boundary.
-CSV bytes are stable for fixed inputs and seed: floats are printed with 17
-significant digits, and every Monte-Carlo column is a pure function of
-(seed, n_samples), 4096-sample blocks summed in order, whatever the machine.
+CSV bytes are stable for fixed inputs and seed on one machine: floats are
+printed with 17 significant digits, and every Monte-Carlo column is a pure
+function of (seed, n_samples), 4096-sample blocks summed in order.  Across
+machines the mc_* columns and the exit status keep their bytes whatever SIMD
+level numpy dispatches to; the analytic and asymptote columns agree to a few
+ulp, since numpy's AVX-512 exp and log1p round differently from its other
+loops.
 
 op-curve, ser-curve and validate share one front that turns the config and
 the sweep flags into a direction, a dBW grid and (p1, p2, p3) arrays; each

@@ -5,8 +5,7 @@ whose transceiver adds power-proportional Gaussian distortion noise on both
 the receive side (EVM level kappa_r) and the transmit side (kappa_t).  This
 module holds the configuration and query types with every input rule of the
 package, the per-direction derived constants, the variable relaying gain, the
-per-realization SNDR (two algebraically equivalent evaluation routes), and
-the high-power limits.
+per-realization SNDR, and the high-power limits.
 
 One SNDR form covers every relay, whatever receive EVM kappa_hat_r its gain
 normalization assumes: kappa_hat_r enters only the constants of
@@ -40,7 +39,6 @@ __all__ = [
     "derived_constants",
     "relaying_gain",
     "sndr",
-    "sndr_from_gain",
     "sndr_asymptotic",
     "sndr_ceiling",
     "relaying_gain_asymptotic",
@@ -272,23 +270,6 @@ def relaying_gain(config: SystemConfig, rho1, rho2):
     khat2 = config.gain_kappa_r**2
     received = (rho1 * config.p1 + rho2 * config.p2) * (1.0 + khat2) + config.n3
     return np.sqrt(config.p3 / received)
-
-
-def sndr_from_gain(config: SystemConfig, direction: Direction, rho1, rho2):
-    """SNDR at T_i evaluated through the explicit relaying gain.
-
-    The gain carries the assumed receive EVM while the distortion variances
-    carry the true one.  Algebraically equal to sndr; kept as the reference
-    that checks the constants of derived_constants.
-    """
-    _, p_ri, n_i, _, _ = link_params(config, direction)
-    rho_i, _ = _rho_roles(direction, rho1, rho2)
-    g = relaying_gain(config, rho1, rho2)
-    kr2 = config.kappa_r**2
-    kt2 = config.kappa_t**2
-    noise = rho_i * (config.n3 + kr2 * (rho1 * config.p1 + rho2 * config.p2))
-    noise = noise + (rho_i * kt2 * config.p3 + n_i) / (g * g)
-    return rho1 * rho2 * p_ri / noise
 
 
 def sndr(config: SystemConfig, direction: Direction, rho1, rho2):

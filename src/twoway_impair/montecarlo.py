@@ -56,8 +56,9 @@ __all__ = [
 _MAX_SEED = 2**64
 
 # Samples per Philox block.  Part of the determinism contract: changing it
-# changes every estimate.  4096 keeps a block's signal chain (about a dozen
-# complex arrays) small while amortizing the per-block generator set-up.
+# changes every estimate.  4096 keeps a block's signal chain (three generator
+# calls, then seven arrays per sweep point) small while amortizing the
+# per-block generator set-up.
 BLOCK = 4096
 
 

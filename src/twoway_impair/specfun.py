@@ -15,10 +15,11 @@ z*K1(z) - 1; on z > 2 a Chebyshev fit of exp(z)*K1(z)*sqrt(z) in the
 variable 4/z - 1, summed by Clenshaw's recurrence, with coefficients
 recomputed from a high-precision reference (tools/gen_k1_coeffs.py).  Each
 recurrence is plain arithmetic that runs unchanged on a float or on an array
-of any shape; bessel_k1_scaled and log_zk1 split their input between the
-branches, and bessel_k1 is exp(-z) times bessel_k1_scaled.  erfc, the
-Q-function and the incomplete gamma function take single numbers; they serve
-the closed-form floors and the quadrature's exact tail.
+of any shape; bessel_k1_scaled and log_zk1 each split their input between
+the branches once and run both recurrences themselves, and bessel_k1 is
+exp(-z) times bessel_k1_scaled.  erfc, the Q-function and the incomplete
+gamma function take single numbers; they serve the closed-form floors and the
+quadrature's exact tail.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def log_zk1(z):
     if small.any():
         out[small] = np.log1p(_zk1_minus_one(z[small]))
     if large.any():
-        out[large] = np.log(z[large] * bessel_k1_scaled(z[large])) - z[large]
+        zl = z[large]
+        out[large] = np.log(zl * _k1e_chebyshev(zl)) - zl
     return out[()]
 
 

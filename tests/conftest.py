@@ -1,6 +1,9 @@
-"""mpmath references shared by the test modules, as fixtures."""
+"""References shared by the test modules, as fixtures: mpmath kernels and the
+explicit-gain SNDR."""
 
 import pytest
+
+from twoway_impair.model import Direction, SystemConfig, _rho_roles, link_params, relaying_gain
 
 
 def zk1_minus_one_mp(z):
@@ -28,6 +31,29 @@ def zk1_minus_one_mp(z):
 @pytest.fixture(scope="session")
 def mp_zk1_minus_one():
     return zk1_minus_one_mp
+
+
+def sndr_from_gain(config: SystemConfig, direction: Direction, rho1, rho2):
+    """SNDR at T_i evaluated through the explicit relaying gain.
+
+    The gain carries the assumed receive EVM while the distortion variances
+    carry the true one.  Algebraically equal to model.sndr; kept as the
+    reference that checks the constants of derived_constants.
+    """
+    _, p_ri, n_i, _, _ = link_params(config, direction)
+    rho_i, _ = _rho_roles(direction, rho1, rho2)
+    g = relaying_gain(config, rho1, rho2)
+    kr2 = config.kappa_r**2
+    kt2 = config.kappa_t**2
+    noise = rho_i * (config.n3 + kr2 * (rho1 * config.p1 + rho2 * config.p2))
+    noise = noise + (rho_i * kt2 * config.p3 + n_i) / (g * g)
+    return rho1 * rho2 * p_ri / noise
+
+
+@pytest.fixture(scope="session")
+def explicit_gain_sndr():
+    # session-scoped, so the hypothesis tests can take it too
+    return sndr_from_gain
 
 
 @pytest.fixture(scope="session")

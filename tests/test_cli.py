@@ -1,6 +1,9 @@
 """CLI behavior: CSV format and stability, exit codes, command semantics."""
 
 import hashlib
+import json
+import math
+import os
 import subprocess
 import sys
 import warnings
@@ -417,6 +420,55 @@ def test_csv_bytes_stable_across_runs(tmp_path):
                         "--p1-dbw", "0", "40", "--points", "5", "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+# one process per SIMD level runs the three Monte-Carlo routes; on an AVX-512
+# host some rows of each analytic column move by an ulp between the levels
+SIMD_LEVELS = {"plain": {}, "no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}}
+SIMD_RUNS = (
+    ["op-curve", "--x", "31", "--mc", "--p1-dbw", "0", "80", "--points", "41"],
+    ["ser-curve", "--mc", "--p1-dbw", "0", "80", "--points", "9"],
+    ["ser-curve", "--mc", "--mc-route", "signal", "--p1-dbw", "0", "80", "--points", "9"],
+)
+
+
+def test_mc_bytes_hold_across_simd_levels(tmp_path):
+    """The cross-machine half of the byte contract, on the SIMD levels of one host.
+
+    The same three runs go through two processes: one plain, one with
+    NPY_DISABLE_CPU_FEATURES="X86_V4", which makes numpy skip its AVX-512
+    loops.  Those loops round exp and log1p differently from the others, so
+    the analytic and asymptote columns may move by a few ulp; the exit codes,
+    the comment lines and every other byte may not.  On a host without
+    AVX-512 the variable changes nothing, and the test compares two identical
+    runs.
+    """
+    cfg = cfg_with(tmp_path)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+    lines = {}
+    for level, extra in SIMD_LEVELS.items():
+        argvs = [[*argv, "--config", cfg, "--samples", "20000", "--seed", "5",
+                  "--out", str(tmp_path / f"{level}{k}.csv")] for k, argv in enumerate(SIMD_RUNS)]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; from twoway_impair.cli import main; "
+             "print(*(main(argv) for argv in json.loads(sys.argv[1])))", json.dumps(argvs)],
+            capture_output=True, text=True, env={**env, **extra},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"] * len(SIMD_RUNS), (level, proc.stdout, proc.stderr)
+        lines[level] = [(tmp_path / f"{level}{k}.csv").read_text(encoding="utf-8").splitlines()
+                        for k in range(len(SIMD_RUNS))]
+    for plain, other in zip(*lines.values()):
+        assert len(plain) == len(other)
+        header = next(line for line in plain if not line.startswith("#")).split(",")
+        for line, other_line in zip(plain, other):
+            if line != other_line:
+                assert not line.startswith("#"), (line, other_line)
+                for name, a, b in zip(header, line.split(","), other_line.split(","), strict=True):
+                    assert a == b or (name in ("analytic", "asymptote")
+                                      and abs(float(a) - float(b)) <= 4 * math.ulp(float(a))), (name, a, b)
 
 
 # sha256 of the mc_mean,mc_ci_low,mc_ci_high text (header and 19 rows); a change

@@ -1,4 +1,4 @@
-"""SNDR math: derived constants, relaying gain, dual evaluation routes, limits."""
+"""SNDR math: derived constants, relaying gain, the SNDR against its explicit-gain reference, limits."""
 
 import math
 import re
@@ -20,7 +20,6 @@ from twoway_impair.model import (
     sndr,
     sndr_asymptotic,
     sndr_ceiling,
-    sndr_from_gain,
 )
 
 D1 = Direction(1)
@@ -108,20 +107,20 @@ def test_relaying_gain_uses_assumed_kappa():
         assert abs(derived_constants(both, direction).c - 0.050025) < 1e-15
 
 
-def test_sndr_zero_when_either_channel_vanishes():
+def test_sndr_zero_when_either_channel_vanishes(explicit_gain_sndr):
     cfg = unit_config(0.1, 0.1)
     assert sndr(cfg, D1, 0.0, 1.3) == 0.0
     assert sndr(cfg, D1, 1.3, 0.0) == 0.0
-    assert sndr_from_gain(cfg, D2, 0.0, 0.0) == 0.0
+    assert explicit_gain_sndr(cfg, D2, 0.0, 0.0) == 0.0
 
 
-def test_sndr_ideal_unit_case_both_routes():
+def test_sndr_ideal_unit_case_both_routes(explicit_gain_sndr):
     cfg = unit_config()
     assert abs(sndr(cfg, D1, 1.0, 1.0) - 0.25) < 1e-15
-    assert abs(sndr_from_gain(cfg, D1, 1.0, 1.0) - 0.25) < 1e-12
+    assert abs(explicit_gain_sndr(cfg, D1, 1.0, 1.0) - 0.25) < 1e-12
 
 
-def test_dual_route_agreement_randomized():
+def test_dual_route_agreement_randomized(explicit_gain_sndr):
     # closed form (gain substituted) vs explicit-gain evaluation, for relays
     # whose gain uses the true receive EVM and for relays that assume another
     for seed, mismatched in ((314, False), (315, True)):
@@ -132,7 +131,7 @@ def test_dual_route_agreement_randomized():
             rho2 = rng.exponential(cfg.omega2, 2000)
             for direction in (D1, D2):
                 a = sndr(cfg, direction, rho1, rho2)
-                b = sndr_from_gain(cfg, direction, rho1, rho2)
+                b = explicit_gain_sndr(cfg, direction, rho1, rho2)
                 assert np.max(np.abs(a / b - 1.0)) <= 1e-12
 
 

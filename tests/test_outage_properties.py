@@ -26,7 +26,6 @@ from twoway_impair.model import (
     SystemConfig,
     derived_constants,
     link_params,
-    sndr_from_gain,
 )
 
 # Deterministic examples, so the suite gives the same verdict on every run.
@@ -64,9 +63,10 @@ def outage(config, x, direction):
     return outage_probability(config, OutageQuery(x, direction))
 
 
-def outage_by_explicit_gain(config, x, direction):
+def outage_by_explicit_gain(sndr_from_gain, config, x, direction):
     """Outage as a conditional integral over the own-channel gain u, with the
-    partner-gain threshold read off model.sndr_from_gain alone.
+    partner-gain threshold read off the explicit-gain SNDR `sndr_from_gain`
+    (the conftest reference) alone.
 
     For fixed u, u/SNDR = alpha(u) + beta(u)/v in the partner gain v, and
     alpha is affine in u; two evaluations give each, so nothing here uses
@@ -151,10 +151,11 @@ def test_outage_is_continuous_as_the_hardware_becomes_ideal(config, direction, x
 
 @PROPERTY
 @given(links(assumed=evm), directions, st.floats(0.0, 0.98))
-def test_outage_matches_explicit_gain_integral_at_mismatched_points(config, direction, frac):
+def test_outage_matches_explicit_gain_integral_at_mismatched_points(explicit_gain_sndr, config, direction, frac):
     b = ceiling_coefficient(config)
     x = frac / b if b > 0 else 100.0 * frac
-    assert abs(outage(config, x, direction) - outage_by_explicit_gain(config, x, direction)) < 1e-9
+    explicit = outage_by_explicit_gain(explicit_gain_sndr, config, x, direction)
+    assert abs(outage(config, x, direction) - explicit) < 1e-9
 
 
 # Two separately rounded forms, the exact outage and its floor, each accurate

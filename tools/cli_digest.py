@@ -11,6 +11,13 @@ against both trees and diff the two outputs:
     PYTHONPATH=<new tree>/src python3 tools/cli_digest.py > new.txt
     diff old.txt new.txt
 
+The first line, after `#`, names numpy's version and the dispatch targets
+it enabled on this CPU.  The digest holds per SIMD level only: numpy's
+AVX-512 loops round exp and log1p differently from its other loops, so on
+another level the analytic columns can move by an ulp (every exit code and
+Monte-Carlo column keeps its bytes; tests/test_cli.py checks that).  Diff two
+digests only when their first lines agree.
+
 The digest compares exit codes and output bytes only.  A last-bit move
 inside the Monte-Carlo signal chain that leaves every tally in place does
 not show in it; tests/test_montecarlo.py pins the chain's arrays for that.
@@ -46,7 +53,14 @@ import shlex
 import sys
 import tempfile
 
+import numpy as np
+
 from twoway_impair.cli import main
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 BASE = {
     "p1": "1000", "p2": "1000", "p3": "500", "n1": "1", "n2": "1", "n3": "1",
@@ -170,7 +184,14 @@ def digest(code: int, stdout: str, stderr: str) -> str:
     return h.hexdigest()
 
 
+def simd_level() -> str:
+    """numpy's version and the dispatch targets it enabled, e.g. 'numpy 2.4.6; dispatch X86_V3 X86_V4'."""
+    enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    return f"numpy {np.__version__}; dispatch {' '.join(enabled) or 'none (baseline only)'}"
+
+
 def main_digest() -> int:
+    print("#", simd_level(), flush=True)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
