@@ -109,6 +109,7 @@ def _outage(x, c: float, delta: float, rows: np.ndarray) -> np.ndarray:
         num = ((x + delta * x * x) / ss) * n_lin + (x * x / (ss * s)) * n_cub
         floor = (cx / s) * d_lin
         arg = 2.0 * np.sqrt(num * (1.0 + floor))
+        # an overflowing exponent or a NaN arg (0*inf: num underflows, the floor overflows) is certain outage
         live = (x > 0.0) & (x < ceiling) & np.isfinite(arg) & np.isfinite(exponent)
         log_survival = -exponent + specfun.log_zk1(np.where(live, arg, 0.0)) - np.log1p(floor)
         prob = np.where(live, -np.expm1(log_survival), np.where(x > 0.0, 1.0, 0.0))
@@ -151,10 +152,8 @@ def outage_asymptotic(omega_i: float, omega_ri: float, c: float, x):
         return np.zeros(x.shape)[()]
     _check_positive(c=c)
     cx = c * x
-    floor = np.ones(cx.shape)
-    below = cx < 1.0
-    floor[below] = omega_i * cx[below] / (omega_ri + cx[below] * (omega_i - omega_ri))
-    return floor[()]
+    return np.piecewise(cx, [cx < 1.0, cx >= 1.0],
+                        [lambda t: omega_i * t / (omega_ri + t * (omega_i - omega_ri)), 1.0])[()]
 
 
 # Stopping rule of the SER quadrature (see _tanh_sinh).

@@ -15,11 +15,10 @@ z*K1(z) - 1; on z > 2 a Chebyshev fit of exp(z)*K1(z)*sqrt(z) in the
 variable 4/z - 1, summed by Clenshaw's recurrence, with coefficients
 recomputed from a high-precision reference (tools/gen_k1_coeffs.py).  Each
 recurrence is plain arithmetic that runs unchanged on a float or on an array
-of any shape; bessel_k1_scaled and log_zk1 each split their input between
-the branches once and run both recurrences themselves, and bessel_k1 is
-exp(-z) times bessel_k1_scaled.  erfc, the Q-function and the incomplete
-gamma function take single numbers; they serve the closed-form floors and the
-quadrature's exact tail.
+of any shape; bessel_k1_scaled and log_zk1 are each one np.piecewise over
+the two recurrences, and bessel_k1 is exp(-z) times bessel_k1_scaled.  erfc,
+the Q-function and the incomplete gamma function take single numbers; they
+serve the closed-form floors and the quadrature's exact tail.
 """
 
 from __future__ import annotations
@@ -75,12 +74,14 @@ def _zk1_minus_one(z):
     and S1 the same sum with each term weighted by psi(k+1) + psi(k+2); the 1
     is taken out exactly, so the result keeps its relative precision as z ->
     0.  The sums are polynomials in q <= 1, evaluated together by Horner.
+    z/2 is clamped at the smallest subnormal, the one z whose half rounds to
+    0, so that z gives -0.0 as its neighbours do.
     """
     q = 0.25 * z * z
     s0 = s1 = 0.0
     for c0, c1 in zip(*_K1_SERIES):
         s0, s1 = s0 * q + c0, s1 * q + c1
-    return q * (2.0 * np.log(0.5 * z) * s0 - s1)
+    return q * (2.0 * np.log(np.maximum(0.5 * z, 5e-324)) * s0 - s1)
 
 
 def _k1e_chebyshev(z):
@@ -96,21 +97,17 @@ def _k1e_chebyshev(z):
 def bessel_k1_scaled(z):
     """Exponentially scaled Bessel function exp(z) * K1(z), elementwise.
 
-    Stays representable for arbitrarily large z (value ~ sqrt(pi/(2z)));
-    use this form whenever exp terms elsewhere cancel the e^{-z} decay.
-    Accepts a number or an array; raises unless every z > 0.
+    Stays representable for arbitrarily large z (value ~ sqrt(pi/(2z)), 0 at
+    z = inf); use this form whenever exp terms elsewhere cancel the e^{-z}
+    decay.  Near 0 it is ~1/z, which overflows to inf (with numpy's overflow
+    warning) for z below ~5.6e-309, the smallest subnormal included.  Accepts
+    a number or an array; raises unless every z > 0.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(z > 0.0):
         raise ValueError(f"bessel_k1_scaled requires z > 0, got {float(z[~(z > 0.0)].flat[0])!r}")
-    out = np.empty(z.shape)
-    small = z <= 2.0
-    if small.any():
-        zs = z[small]
-        out[small] = np.exp(zs) * ((1.0 + _zk1_minus_one(zs)) / zs)
-    if not small.all():
-        out[~small] = _k1e_chebyshev(z[~small])
-    return out[()]
+    return np.piecewise(z, [z <= 2.0, z > 2.0],
+                        [lambda zs: np.exp(zs) * ((1.0 + _zk1_minus_one(zs)) / zs), _k1e_chebyshev])[()]
 
 
 def bessel_k1(z):
@@ -125,22 +122,19 @@ def bessel_k1(z):
 
 
 def log_zk1(z):
-    """log(z*K1(z)) of a number or array, elementwise for z >= 0 (0 at z = 0).
+    """log(z*K1(z)) of a number or array, elementwise for z >= 0.
 
     Keeps its relative precision as z -> 0, where it vanishes like (z^2/2) ln z:
-    log1p of z*K1(z) - 1 on z <= 2, log(z*exp(z)*K1(z)) - z above.
+    log1p of z*K1(z) - 1 on 0 < z <= 2, log(z*exp(z)*K1(z)) - z above.  It is
+    0 at z = 0, -0.0 at the smallest subnormal as at its neighbours, and -inf
+    at z = inf, where z*exp(z)*K1(z) would be inf * 0.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(z >= 0.0):
         raise ValueError(f"log_zk1 requires z >= 0, got {float(z[~(z >= 0.0)].flat[0])!r}")
-    out = np.zeros(z.shape)
-    small, large = (z > 0.0) & (z <= 2.0), z > 2.0
-    if small.any():
-        out[small] = np.log1p(_zk1_minus_one(z[small]))
-    if large.any():
-        zl = z[large]
-        out[large] = np.log(zl * _k1e_chebyshev(zl)) - zl
-    return out[()]
+    return np.piecewise(z, [(z > 0.0) & (z <= 2.0), (z > 2.0) & (z < np.inf), z == np.inf],
+                        [lambda zs: np.log1p(_zk1_minus_one(zs)),
+                         lambda zl: np.log(zl * _k1e_chebyshev(zl)) - zl, -np.inf])[()]
 
 
 def erfc(x: float) -> float:

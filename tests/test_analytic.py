@@ -233,6 +233,32 @@ def test_outage_asymptotic_values():
     assert outage_asymptotic(2.0, 1.0, 0.0816, 31.0) == 1.0
 
 
+def test_outage_asymptotic_scalar_and_array_calls_are_bit_identical():
+    c = 0.0201
+    ceiling = 1.0 / c
+    x = np.concatenate([[0.0, 1.0, 0.5 * ceiling, ceiling, 2.0 * ceiling, 1e300, math.inf],
+                        np.nextafter(ceiling, [0.0, math.inf]), ceiling * (1.0 + np.arange(-3, 4) * 2e-16)])
+    assert (c * x < 1.0).any() and (c * x >= 1.0).any()
+    for omega_i, omega_ri in ((2.0, 1.0), (1.0, 1.0), (1.0, 3.0)):
+        floors = outage_asymptotic(omega_i, omega_ri, c, x)
+        assert floors.shape == x.shape
+        assert floors.tobytes() == np.array([outage_asymptotic(omega_i, omega_ri, c, float(v)) for v in x]).tobytes()
+        assert np.all(floors[c * x >= 1.0] == 1.0)
+    assert outage_asymptotic(2.0, 1.0, 0.0, math.inf) == 0.0
+    assert outage_asymptotic(2.0, 1.0, 0.0, x).tobytes() == np.zeros(x.shape).tobytes()
+
+
+def test_outage_is_certain_where_the_closed_form_is_not_finite():
+    # num underflows to 0 while the floor term overflows: the Bessel
+    # argument is 0*inf = NaN, and only the non-finite screen gives 1
+    nan_arg = SystemConfig(p1=1e300, p2=1.0, p3=5e299, n1=1.0, n2=1.0, n3=1.0, omega1=1e4, omega2=1e-4,
+                           relay_impairments=ImpairmentPair(1e100, 0.0), assumed_kappa_r=0.0)
+    assert outage_probability(nan_arg, OutageQuery(9e-201, D1)) == 1.0
+    # an ideal relay at a tiny power: the exponent overflows
+    ideal = SystemConfig(p1=1e-10, p2=1e3, p3=500.0, n1=1.0, n2=1.0, n3=1.0, omega1=2.0, omega2=1.0)
+    assert outage_probability(ideal, OutageQuery(1e300, D1)) == 1.0
+
+
 def test_ser_heavy_impairment_approaches_guessing():
     # ceiling 1/c -> 0: the detector cannot beat a coin flip
     assert abs(ser_asymptotic(BPSK, 1e8) - 0.5) < 1e-3

@@ -124,6 +124,25 @@ def test_log_zk1_matches_mpmath_down_to_tiny_arguments(mp_zk1_minus_one):
         specfun.log_zk1(math.nan)
 
 
+# The ends of the doubles: 0, the smallest subnormal (whose half rounds to 0)
+# and its neighbour, the branch point, a large argument and inf.
+K1_END_ARGS = np.array([0.0, 5e-324, 1e-323, 2.0, 700.0, math.inf])
+
+
+def test_k1_entries_take_their_neighbours_values_at_the_ends_of_the_doubles():
+    assert specfun.log_zk1(math.inf) == -math.inf
+    assert specfun.log_zk1(5e-324) == 0.0
+    # e^z K1(z) ~ 1/z overflows below z ~ 5.6e-309
+    with np.errstate(over="ignore"):
+        assert specfun.bessel_k1_scaled(5e-324) == math.inf
+        assert specfun.bessel_k1(5e-324) == math.inf
+        for kernel, args in ((specfun.log_zk1, K1_END_ARGS), (specfun.bessel_k1_scaled, K1_END_ARGS[1:]),
+                             (specfun.bessel_k1, K1_END_ARGS[1:])):
+            batch = kernel(args)
+            assert not np.isnan(batch).any()
+            assert batch.tobytes() == np.array([kernel(float(z)) for z in args]).tobytes()
+
+
 def _k1e_chebyshev_reference(z):
     """The Clenshaw sum written independently of the kernel, started from an array of zeros."""
     t = 4.0 / z - 1.0

@@ -40,7 +40,9 @@ gains), an outage curve at a NaN threshold, SER inversions at the ends of
 the positive doubles (a target below the floor of ulp(0.0), a bound near
 float max, a target one double below alpha/2, and `--beta` without
 `--alpha`), and an SER curve at beta = 1e-8 on a relay of near-subnormal
-severity (c ~ 2.35e-315) with gains 1:2, whose floor is its small-c limit.
+severity (c ~ 2.35e-315) with gains 1:2, whose floor is its small-c limit,
+and outage curves at x = 1e300 and -100 ... 0 dBW on ideal and subnormal
+relays, whose closed form is not finite (its outage is certain).
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ SUBNORMAL_CONFIGS = {
     "subnormal.cfg": {"kappa3t": "1e-160", "kappa3r": "1e-160"},
     "subnormal_equal_gains.cfg": {"omega1": "1", "omega2": "1", "kappa3t": "1e-160", "kappa3r": "1e-160"},
 }
-# c ~ 2.35e-315 with gains 1:2; serves only the last command of the matrix.
+# c ~ 2.35e-315 with gains 1:2; serves only one command near the end of the matrix.
 NEAR_SUBNORMAL_CONFIGS = {
     "near_subnormal.cfg": {"omega1": "1", "omega2": "2", "kappa3t": "3.43e-158", "kappa3r": "3.43e-158"},
 }
@@ -162,6 +164,8 @@ def matrix() -> list[list[str]]:
         ["ser-curve", "--config", "near_subnormal.cfg", "--p1-dbw", "0", "40", "--points", "3",
          "--alpha", "1", "--beta", "1e-8"],
     ]
+    commands += [["op-curve", "--config", cfg, "--x", "1e300", "--p1-dbw", "-100", "0", "--points", "5"]
+                 for cfg in ("ideal.cfg", "subnormal.cfg")]
     return commands
 
 
